@@ -1,122 +1,30 @@
-"""Constant folding and width inference over the Verilog expression AST.
+"""Constant folding over the Verilog expression AST.
 
-The static engines share one evaluator:
+:func:`refine` partially evaluates an expression under an environment of
+known-constant signals, returning the folded constant (or ``None``) plus
+the identifiers that still *contribute* to the value.  Identifiers inside
+branches a constant condition rules out — the untaken arm of a ternary,
+the short-circuited side of ``&&`` / ``||`` — do not contribute; this is
+what prunes IFG edges in the taint classifier's refined graph.
 
-* :func:`expr_width` — bit-width inference for the lint width checks,
-  mirroring the RTL simulator's width rules;
-* :func:`refine` — partial evaluation of an expression under an
-  environment of known-constant signals, returning the folded constant
-  (or ``None``) plus the identifiers that still *contribute* to the
-  value.  Identifiers inside branches a constant condition rules out —
-  the untaken arm of a ternary, the short-circuited side of ``&&`` /
-  ``||`` — do not contribute; this is what prunes IFG edges in the
-  taint classifier's refined graph.
-
-Evaluation semantics mirror :mod:`repro.rtl.sim` (``~`` masks to the
-operand width, unary ``-`` to 64 bits, reductions over the operand
-width, comparisons unsigned), so a folded constant equals what the
-simulator would compute.
+The folder has no operator rules of its own: widths and operators come
+from :mod:`repro.rtl.semantics`, the module the design compiler
+generates the simulator from, so a folded constant equals what the
+simulator computes.
 """
 
 from __future__ import annotations
 
 from repro.rtl import ast
-
-_MASK64 = (1 << 64) - 1
-
-
-def expr_width(expr: ast.Expr, widths: dict[str, int]) -> int | None:
-    """Inferred bit width of an expression; ``None`` when unknowable."""
-    if isinstance(expr, ast.Identifier):
-        return widths.get(expr.name)
-    if isinstance(expr, ast.Number):
-        return expr.width
-    if isinstance(expr, ast.BitSelect):
-        return 1
-    if isinstance(expr, ast.PartSelect):
-        return expr.msb - expr.lsb + 1
-    if isinstance(expr, ast.Concat):
-        total = 0
-        for part in expr.parts:
-            width = expr_width(part, widths)
-            if width is None:
-                return None
-            total += width
-        return total
-    if isinstance(expr, ast.Ternary):
-        true_width = expr_width(expr.if_true, widths)
-        false_width = expr_width(expr.if_false, widths)
-        if true_width is None or false_width is None:
-            return None
-        return max(true_width, false_width)
-    if isinstance(expr, ast.UnaryOp):
-        if expr.op in ("!", "&", "|", "^"):
-            return 1
-        return expr_width(expr.operand, widths)  # ~ and unary -
-    if isinstance(expr, ast.BinaryOp):
-        if expr.op in ("==", "!=", "<", "<=", ">", ">=", "&&", "||"):
-            return 1
-        if expr.op in ("<<", ">>"):
-            return expr_width(expr.left, widths)
-        left = expr_width(expr.left, widths)
-        right = expr_width(expr.right, widths)
-        if left is None or right is None:
-            return None
-        return max(left, right)
-    return None
-
-
-def _eval_unary(op: str, value: int, width: int | None) -> int:
-    width = width or 64
-    if op == "!":
-        return 0 if value else 1
-    if op == "~":
-        return ~value & ((1 << width) - 1)
-    if op == "-":
-        return -value & _MASK64
-    if op == "&":
-        return 1 if value == (1 << width) - 1 else 0
-    if op == "|":
-        return 1 if value else 0
-    if op == "^":
-        return bin(value).count("1") & 1
-    raise ValueError(f"unknown unary operator {op!r}")
-
-
-def _eval_binary(op: str, left: int, right: int) -> int:
-    if op == "+":
-        return left + right
-    if op == "-":
-        return (left - right) & _MASK64
-    if op == "*":
-        return left * right
-    if op == "&":
-        return left & right
-    if op == "|":
-        return left | right
-    if op == "^":
-        return left ^ right
-    if op == "<<":
-        return left << min(right, 64)
-    if op == ">>":
-        return left >> min(right, 64)
-    if op == "==":
-        return 1 if left == right else 0
-    if op == "!=":
-        return 1 if left != right else 0
-    if op == "<":
-        return 1 if left < right else 0
-    if op == "<=":
-        return 1 if left <= right else 0
-    if op == ">":
-        return 1 if left > right else 0
-    if op == ">=":
-        return 1 if left >= right else 0
-    if op == "&&":
-        return 1 if left and right else 0
-    if op == "||":
-        return 1 if left or right else 0
-    raise ValueError(f"unknown binary operator {op!r}")
+from repro.rtl.semantics import (
+    BINARY,
+    UNARY,
+    bit_select,
+    concat,
+    number_value,
+    operand_width,
+    part_select,
+)
 
 
 def refine(
@@ -132,7 +40,7 @@ def refine(
     at the call site).  A folded constant has no contributors.
     """
     if isinstance(expr, ast.Number):
-        return expr.value, ()
+        return number_value(expr), ()
     if isinstance(expr, ast.Identifier):
         if expr.name in env:
             return env[expr.name], ()
@@ -141,8 +49,8 @@ def refine(
         value, ids = refine(expr.operand, env, widths)
         if value is None:
             return None, ids
-        return _eval_unary(expr.op, value,
-                           expr_width(expr.operand, widths)), ()
+        width = operand_width(expr.operand, widths)
+        return UNARY[expr.op].evaluate(value, width), ()
     if isinstance(expr, ast.BinaryOp):
         left, left_ids = refine(expr.left, env, widths)
         right, right_ids = refine(expr.right, env, widths)
@@ -168,7 +76,7 @@ def refine(
                 return None, left_ids
             return None, left_ids + right_ids
         if left is not None and right is not None:
-            return _eval_binary(expr.op, left, right), ()
+            return BINARY[expr.op].evaluate(left, right), ()
         return None, left_ids + right_ids
     if isinstance(expr, ast.Ternary):
         condition, condition_ids = refine(expr.condition, env, widths)
@@ -182,25 +90,22 @@ def refine(
         base, base_ids = refine(expr.base, env, widths)
         index, index_ids = refine(expr.index, env, widths)
         if base is not None and index is not None:
-            return (base >> index) & 1, ()
+            return bit_select(base, index), ()
         return None, base_ids + index_ids
     if isinstance(expr, ast.PartSelect):
         base, base_ids = refine(expr.base, env, widths)
         if base is not None:
-            return (base >> expr.lsb) & ((1 << (expr.msb - expr.lsb + 1)) - 1), ()
+            return part_select(base, expr.msb, expr.lsb), ()
         return None, base_ids
     if isinstance(expr, ast.Concat):
         values = []
         ids: tuple[str, ...] = ()
         for part in expr.parts:
             value, part_ids = refine(part, env, widths)
-            values.append((value, expr_width(part, widths)))
+            values.append((value, operand_width(part, widths)))
             ids += part_ids
-        if all(v is not None and w is not None for v, w in values):
-            total = 0
-            for value, width in values:
-                total = (total << width) | (value & ((1 << width) - 1))
-            return total, ()
-        return None, ids
+        if any(value is None for value, _ in values):
+            return None, ids
+        return concat(values), ()
     # Unknown node: contribute its syntactic identifiers conservatively.
     return None, tuple(ast.expr_identifiers(expr))

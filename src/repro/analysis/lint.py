@@ -29,7 +29,7 @@ from repro.analysis.diagnostics import (
     apply_waivers,
     parse_waivers,
 )
-from repro.analysis.fold import expr_width, refine
+from repro.analysis.fold import refine
 from repro.ifg.labeling import default_arch_matcher
 from repro.isa.spec import architectural_register_names
 from repro.rtl import ast
@@ -40,6 +40,7 @@ from repro.rtl.ir import (
     SignalKind,
 )
 from repro.rtl.netlist import Netlist
+from repro.rtl.semantics import expr_width
 
 #: Leaf names recognised as reset inputs by ``no-reset-state``.
 RESET_NAMES = ("rst", "reset", "rst_n", "resetn")

@@ -52,6 +52,11 @@ class TraceWriter:
         self.values[index] = value
         self.trace.initial[index] = value
 
+    def init_all(self, values: list[int]) -> None:
+        """:meth:`init` for every slot at once (``values`` in slot order)."""
+        self.values[:] = values
+        self.trace.initial[:] = values
+
     def set_cycle(self, cycle: int) -> None:
         self.cycle = cycle
 
@@ -68,6 +73,16 @@ class TraceWriter:
             self._append_signal(index)
             self._append_old(old)
             self._append_new(value)
+
+    def set_all(self, values: list[int]) -> None:
+        """:meth:`set` for every slot at once (``values`` in slot order).
+
+        For engines that compute a whole state per cycle: the changed
+        slots are recorded in slot order at C level
+        (:meth:`SignalTrace.record_changes`), with no per-signal call.
+        """
+        self.trace.record_changes(self.cycle, self.values, values)
+        self.values[:] = values
 
     def set_by_name(self, name: str, value: int) -> None:
         self.set(self._index[name], value)

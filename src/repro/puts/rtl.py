@@ -6,6 +6,12 @@ trace recording through the same columnar :class:`TraceWriter` path the
 BOOM engine uses, commits read from the design's registered commit
 record, windows extracted from its strobe signals.
 
+The design runs as compiled Python (:mod:`repro.rtl.compile`): each
+cycle writes the two input slots, calls the generated step function on
+the simulator's slot-indexed state and hands the whole state to the
+trace writer, which records the changed slots at C level.  Every signal
+the harness reads is a slot index resolved once at construction.
+
 The harness's per-cycle contract with the design (see
 :data:`repro.rtl.designs.SPEC_CPU`):
 
@@ -28,6 +34,7 @@ the instruction stream, and the golden model applies the same rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.boom.core import _COMMIT_POINTS, Commit, CoreResult
 from repro.boom.tracer import TraceWriter
@@ -66,6 +73,38 @@ class RtlPutConfig:
     commit_timeout: int = 64
 
 
+#: Width mask of the design's ``instr`` and ``dmem_rdata`` input ports.
+_WORD = 0xFFFF_FFFF
+
+
+class _Slots(NamedTuple):
+    """State slots of the ``spec_cpu`` signals the harness reads."""
+
+    instr: int
+    dmem_rdata: int
+    pc_f: int
+    e1_valid: int
+    e1_is_ld: int
+    e1_mem_addr: int
+    e2_valid: int
+    e2_is_st: int
+    e2_mem_addr: int
+    e2_st_val: int
+    c_valid: int
+    c_word: int
+    c_we: int
+    c_st: int
+    c_ld: int
+    c_mem_addr: int
+    c_next_pc: int
+    c_st_val: int
+    c_pc: int
+    c_rd: int
+    c_rd_val: int
+    c_halt: int
+    c_mispred: int
+
+
 class RtlPut(Put):
     """Runs the ``SPEC_CPU`` Verilog design as a processor under test."""
 
@@ -83,9 +122,12 @@ class RtlPut(Put):
         self._design = spec_cpu_design()
         self._map = spec_cpu_signal_map(self.config)
         self.sim = RtlSimulator(self._design)
-        names = self._design.signal_names()
-        self._trace_statics = (names, {n: i for i, n in enumerate(names)})
-        self._trace_slots = list(enumerate(names))
+        compiled = self.sim.compiled
+        self._trace_statics = (list(compiled.names), compiled.slots)
+        self._slots = _Slots(*(self.sim.slot(f"spec_cpu.{leaf}")
+                               for leaf in _Slots._fields))
+        self._arch_slots = [self.sim.slot(f"spec_cpu.x{i}") for i in range(8)]
+        self._step = compiled.step
 
     # -- the cycle-level protocol ------------------------------------------
 
@@ -107,9 +149,7 @@ class RtlPut(Put):
         self.sim.preset(presets, reset=True)
 
         writer = TraceWriter(None, self._trace_statics)
-        values = self.sim.values
-        for index, name in self._trace_slots:
-            writer.init(index, values[name])
+        writer.init_all(self.sim.state)
         self.writer = writer
 
         self.cycle = -1
@@ -129,14 +169,13 @@ class RtlPut(Put):
         self.cycle += 1
         writer = self.writer
         writer.set_cycle(self.cycle)
-        sim = self.sim
-        sim.step({"spec_cpu.instr": self._instr,
-                  "spec_cpu.dmem_rdata": self._rdata})
-        values = sim.values
-        write = writer.set
-        for index, name in self._trace_slots:
-            write(index, values[name])
-        if values["spec_cpu.c_valid"]:
+        slots = self._slots
+        values = self.sim.state
+        values[slots.instr] = self._instr & _WORD
+        values[slots.dmem_rdata] = self._rdata & _WORD
+        self._step(values)
+        writer.set_all(values)
+        if values[slots.c_valid]:
             self._commit(values)
         if (not self.halted
                 and self.cycle - self._last_commit_cycle
@@ -145,18 +184,17 @@ class RtlPut(Put):
             self.halt_reason = "commit_timeout"
         if self.halted:
             return False
-        if values["spec_cpu.e1_valid"] and values["spec_cpu.e1_is_ld"]:
-            self._rdata = self._load(values["spec_cpu.e1_mem_addr"], values)
+        if values[slots.e1_valid] and values[slots.e1_is_ld]:
+            self._rdata = self._load(values[slots.e1_mem_addr], values)
         else:
             self._rdata = 0
-        self._instr = self._fetch(values["spec_cpu.pc_f"])
+        self._instr = self._fetch(values[slots.pc_f])
         return True
 
     def finish(self) -> CoreResult:
         trace = self.writer.finish()
-        values = self.sim.values
-        arch_regs = ([values[f"spec_cpu.x{i}"] for i in range(8)]
-                     + [0] * 24)
+        values = self.sim.state
+        arch_regs = [values[slot] for slot in self._arch_slots] + [0] * 24
         coverage = dict(self.coverage)
         coverage[f"halt.{self.halt_reason}"] = 1
         return CoreResult(
@@ -207,11 +245,12 @@ class RtlPut(Put):
             return self._code[offset >> 2]
         return NOP
 
-    def _load(self, address: int, values: dict[str, int]) -> int:
+    def _load(self, address: int, values: list[int]) -> int:
+        slots = self._slots
         word = self.memory.read(address, 4)
-        if values["spec_cpu.e2_valid"] and values["spec_cpu.e2_is_st"]:
-            store_addr = values["spec_cpu.e2_mem_addr"]
-            store_value = values["spec_cpu.e2_st_val"]
+        if values[slots.e2_valid] and values[slots.e2_is_st]:
+            store_addr = values[slots.e2_mem_addr]
+            store_value = values[slots.e2_st_val]
             for i in range(4):
                 offset = address + i - store_addr
                 if 0 <= offset < 4:
@@ -219,35 +258,37 @@ class RtlPut(Put):
                     word = (word & ~(0xFF << (8 * i))) | (byte << (8 * i))
         return word
 
-    def _commit(self, values: dict[str, int]) -> None:
-        word = values["spec_cpu.c_word"]
-        writes = values["spec_cpu.c_we"]
-        is_store = values["spec_cpu.c_st"]
-        is_load = values["spec_cpu.c_ld"]
-        address = values["spec_cpu.c_mem_addr"]
-        next_pc = values["spec_cpu.c_next_pc"]
+    def _commit(self, values: list[int]) -> None:
+        slots = self._slots
+        word = values[slots.c_word]
+        writes = values[slots.c_we]
+        is_store = values[slots.c_st]
+        is_load = values[slots.c_ld]
+        address = values[slots.c_mem_addr]
+        next_pc = values[slots.c_next_pc]
+        halt = values[slots.c_halt]
         if is_store:
-            self.memory.write(address, values["spec_cpu.c_st_val"], 4)
+            self.memory.write(address, values[slots.c_st_val], 4)
         self.commits.append(Commit(
             cycle=self.cycle,
-            pc=values["spec_cpu.c_pc"],
+            pc=values[slots.c_pc],
             word=word,
             next_pc=next_pc,
-            rd=values["spec_cpu.c_rd"] if writes else None,
-            rd_value=values["spec_cpu.c_rd_val"] if writes else None,
+            rd=values[slots.c_rd] if writes else None,
+            rd_value=values[slots.c_rd_val] if writes else None,
             store_addr=address if is_store else None,
-            store_value=values["spec_cpu.c_st_val"] if is_store else None,
+            store_value=values[slots.c_st_val] if is_store else None,
             store_size=4 if is_store else 0,
             load_addr=address if is_load else None,
-            is_halt=bool(values["spec_cpu.c_halt"]),
+            is_halt=bool(halt),
         ))
         self._last_commit_cycle = self.cycle
         point = _COMMIT_POINTS[decode(word).exec_class]
         self.coverage[point] = self.coverage.get(point, 0) + 1
-        if values["spec_cpu.c_mispred"]:
+        if values[slots.c_mispred]:
             self.coverage["mispredict"] = self.coverage.get("mispredict", 0) + 1
             self.squashed_count += 2
-        if values["spec_cpu.c_halt"]:
+        if halt:
             self.halted = True
             self.halt_reason = "ecall"
         elif not 0 <= next_pc - self.config.base_address < self._code_bytes:

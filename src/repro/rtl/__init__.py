@@ -11,7 +11,11 @@ commercial-simulator stack:
   (``top.df1.q``) exactly as the paper's IFG example names them;
 * :mod:`repro.rtl.netlist` is the programmatic route to the same IR, used
   by the BOOM-like core model to declare its registers and flow edges;
-* :mod:`repro.rtl.sim` simulates elaborated designs cycle by cycle;
+* :mod:`repro.rtl.semantics` owns the Verilog operator rules, which
+  :mod:`repro.rtl.compile` turns into straight-line Python and
+  :mod:`repro.rtl.sim` runs cycle by cycle
+  (:mod:`repro.rtl.sim_reference` keeps the AST interpreter as the
+  test oracle);
 * :mod:`repro.rtl.trace` holds change-event traces (VCD-style) shared by
   the RTL simulator and the core model — the "snapshots" of the paper's
   Microarchitecture Visualizer are reconstructed from these.

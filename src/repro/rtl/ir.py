@@ -101,15 +101,21 @@ class ElaboratedDesign:
 
     def ff_targets(self) -> set[str]:
         """Names written by any flip-flop process."""
-        targets: set[str] = set()
-        for ff in self.ffs:
-            _collect_targets(ff.body, targets)
-        return targets
+        return {target for ff in self.ffs
+                for target in statement_targets(ff.body)}
 
 
-def _collect_targets(statement: ast.Statement, out: set[str]) -> None:
+def statement_targets(statement: ast.Statement) -> list[str]:
+    """Targets of the non-blocking writes in ``statement``, each once,
+    first occurrence first."""
+    targets: dict[str, None] = {}
+    _collect_targets(statement, targets)
+    return list(targets)
+
+
+def _collect_targets(statement: ast.Statement, out: dict[str, None]) -> None:
     if isinstance(statement, ast.NonBlocking):
-        out.add(statement.target)
+        out[statement.target] = None
     elif isinstance(statement, ast.If):
         _collect_targets(statement.then_body, out)
         if statement.else_body is not None:

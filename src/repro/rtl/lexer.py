@@ -5,13 +5,19 @@ Handles identifiers, keywords, sized and unsized numeric literals
 subset (including ``<=``, which the parser disambiguates between
 non-blocking assignment and less-equal by context), and ``//`` and
 ``/* */`` comments.
+
+One master regular expression scans the text: each alternative is a
+token class, tried in priority order at every position.  An
+unterminated block comment (ahead of the ``/`` operator) and any stray
+character are alternatives too, so both raise a :class:`LexError` with
+their line number.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class LexError(ValueError):
@@ -38,15 +44,23 @@ _PUNCTUATION = (
     "=", "+", "-", "*", "&", "|", "^", "~", "!", "<", ">", "?", "/", "%",
 )
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
-_SIZED = re.compile(r"(\d+)?'([bdhoBDHO])([0-9a-fA-F_xXzZ?]+)")
-_UNSIGNED = re.compile(r"\d[\d_]*")
+_SCANNER = re.compile(
+    r"(?P<skip>(?:\s+|//[^\n]*|/\*.*?\*/)+)"
+    r"|(?P<open_comment>/\*)"
+    r"|(?P<sized>(?P<width>\d+)?'(?P<base>[bdhoBDHO])"
+    r"(?P<digits>[0-9a-fA-F_xXzZ?]+))"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_$]*)"
+    r"|(?P<number>\d[\d_]*)"
+    r"|(?P<punct>" + "|".join(map(re.escape, _PUNCTUATION)) + ")"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
+_UNKNOWN_BITS = re.compile(r"[xXzZ?]")
 
 _BASE_RADIX = {"b": 2, "d": 10, "h": 16, "o": 8}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     value: int | None  # for numbers
@@ -59,78 +73,44 @@ class Lexer:
 
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
-        self.line = 1
 
     def tokenize(self) -> list[Token]:
+        text = self.text
         tokens: list[Token] = []
-        while True:
-            self._skip_whitespace_and_comments()
-            if self.pos >= len(self.text):
-                tokens.append(Token(TokenKind.EOF, "", None, None, self.line))
-                return tokens
-            tokens.append(self._next_token())
-
-    def _skip_whitespace_and_comments(self) -> None:
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch == "\n":
-                self.line += 1
-                self.pos += 1
-            elif ch.isspace():
-                self.pos += 1
-            elif text.startswith("//", self.pos):
-                end = text.find("\n", self.pos)
-                self.pos = len(text) if end < 0 else end
-            elif text.startswith("/*", self.pos):
-                end = text.find("*/", self.pos + 2)
-                if end < 0:
-                    raise LexError(f"line {self.line}: unterminated block comment")
-                self.line += text.count("\n", self.pos, end)
-                self.pos = end + 2
+        append = tokens.append
+        line = 1
+        for match in _SCANNER.finditer(text):
+            group = match.lastgroup
+            word = match.group()
+            if group == "skip":
+                line += word.count("\n")
+            elif group == "ident":
+                kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
+                append(Token(kind, word, None, None, line))
+            elif group == "punct":
+                append(Token(TokenKind.PUNCT, word, None, None, line))
+            elif group == "number":
+                append(Token(TokenKind.NUMBER, word, int(word.replace("_", "")),
+                             None, line))
+            elif group == "sized":
+                append(_sized(match, line))
+            elif group == "open_comment":
+                raise LexError(f"line {line}: unterminated block comment")
             else:
-                return
+                raise LexError(f"line {line}: unexpected character {word!r}")
+        append(Token(TokenKind.EOF, "", None, None, line))
+        return tokens
 
-    def _next_token(self) -> Token:
-        text = self.text
 
-        sized = _SIZED.match(text, self.pos)
-        if sized:
-            width_text, base, digits = sized.groups()
-            radix = _BASE_RADIX[base.lower()]
-            cleaned = digits.replace("_", "")
-            if re.search(r"[xXzZ?]", cleaned):
-                # Unknown/high-Z bits are treated as 0 (two-state simulation).
-                cleaned = re.sub(r"[xXzZ?]", "0", cleaned)
-            try:
-                value = int(cleaned, radix)
-            except ValueError:
-                raise LexError(
-                    f"line {self.line}: bad digits {digits!r} for base {base!r}"
-                ) from None
-            width = int(width_text) if width_text else None
-            self.pos = sized.end()
-            return Token(TokenKind.NUMBER, sized.group(0), value, width, self.line)
-
-        ident = _IDENT.match(text, self.pos)
-        if ident:
-            word = ident.group(0)
-            self.pos = ident.end()
-            kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
-            return Token(kind, word, None, None, self.line)
-
-        number = _UNSIGNED.match(text, self.pos)
-        if number:
-            word = number.group(0)
-            self.pos = number.end()
-            return Token(
-                TokenKind.NUMBER, word, int(word.replace("_", "")), None, self.line
-            )
-
-        for punct in _PUNCTUATION:
-            if text.startswith(punct, self.pos):
-                self.pos += len(punct)
-                return Token(TokenKind.PUNCT, punct, None, None, self.line)
-
-        raise LexError(f"line {self.line}: unexpected character {text[self.pos]!r}")
+def _sized(match: re.Match, line: int) -> Token:
+    width_text, base, digits = match.group("width", "base", "digits")
+    # Unknown/high-Z bits are treated as 0 (two-state simulation).
+    cleaned = _UNKNOWN_BITS.sub("0", digits.replace("_", ""))
+    try:
+        value = int(cleaned, _BASE_RADIX[base.lower()])
+    except ValueError:
+        raise LexError(
+            f"line {line}: bad digits {digits!r} for base {base!r}"
+        ) from None
+    width = int(width_text) if width_text else None
+    return Token(TokenKind.NUMBER, match.group(), value, width, line)

@@ -40,7 +40,8 @@ class _Parser:
         return token
 
     def _check(self, text: str) -> bool:
-        return self._peek().text == text and self._peek().kind in (
+        token = self._tokens[self._pos]
+        return token.text == text and token.kind in (
             TokenKind.PUNCT, TokenKind.KEYWORD,
         )
 
@@ -268,16 +269,19 @@ class _Parser:
         ("*", "/", "%"),
     )
 
-    def _parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(self._PRECEDENCE):
-            return self._parse_unary()
-        left = self._parse_binary(level + 1)
-        operators = self._PRECEDENCE[level]
-        while self._peek().kind is TokenKind.PUNCT and self._peek().text in operators:
-            op = self._advance().text
-            right = self._parse_binary(level + 1)
-            left = ast.BinaryOp(op, left, right)
-        return left
+    _LEVEL = {op: level for level, ops in enumerate(_PRECEDENCE) for op in ops}
+
+    def _parse_binary(self, min_level: int) -> ast.Expr:
+        """Left-associative operators binding at ``min_level`` or tighter."""
+        left = self._parse_unary()
+        while True:
+            token = self._peek()
+            level = (self._LEVEL.get(token.text)
+                     if token.kind is TokenKind.PUNCT else None)
+            if level is None or level < min_level:
+                return left
+            self._advance()
+            left = ast.BinaryOp(token.text, left, self._parse_binary(level + 1))
 
     def _parse_unary(self) -> ast.Expr:
         token = self._peek()

@@ -12,64 +12,52 @@ Evaluation model per clock cycle:
 5. record a change event for every signal whose end-of-cycle value
    differs from the previous cycle.
 
-Two-state semantics: ``x``/``z`` literals were already folded to 0 by the
-lexer, uninitialised signals start at 0, division by zero yields 0.
+The simulator runs the straight-line Python that
+:mod:`repro.rtl.compile` generates for the design once, at construction;
+state is the slot-indexed list :attr:`RtlSimulator.state`, in the
+design's declaration order.  Operator semantics live in
+:mod:`repro.rtl.semantics`.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
-from repro.rtl import ast
-from repro.rtl.ir import ElabAssign, ElaboratedDesign, SignalKind
+from repro.rtl.compile import SimulationError, compile_design
+from repro.rtl.ir import ElaboratedDesign
 from repro.rtl.trace import SignalTrace
-from repro.utils.bitvec import mask
 
-
-class SimulationError(ValueError):
-    """Combinational loop, multiple drivers, or unsupported construct."""
+__all__ = ["RtlSimulator", "SimulationError"]
 
 
 class RtlSimulator:
-    """Simulates one :class:`ElaboratedDesign`."""
+    """Simulates one :class:`ElaboratedDesign` through compiled code."""
 
     def __init__(self, design: ElaboratedDesign):
         self.design = design
-        self._order = _schedule(design)
-        self._widths = {name: s.width for name, s in design.signals.items()}
-        self.values: dict[str, int] = {name: 0 for name in design.signals}
+        self.compiled = compile_design(design)
+        #: Current signal values, one slot per signal (declaration order).
+        self.state = [0] * len(self.compiled.names)
         self.cycle = -1
-        self._settle()
+        self.compiled.settle(self.state)
 
     # -- public API -------------------------------------------------------
+
+    @property
+    def values(self) -> dict[str, int]:
+        """A name -> value snapshot of the current state."""
+        return dict(zip(self.compiled.names, self.state))
 
     def step(self, inputs: dict[str, int] | None = None) -> None:
         """Advance one clock cycle with the given top-input values.
 
         Input names may be unqualified (``"i"``) or fully qualified
-        (``"top.i"``).
+        (``"top.i"``).  Writing any signal other than a free top-level
+        input re-settles the whole design first, as an interpreter that
+        settles everything every cycle would.
         """
         self.cycle += 1
-        if inputs:
-            for name, value in inputs.items():
-                qualified = self._qualify_input(name)
-                self.values[qualified] = value & mask(self._widths[qualified])
-        self._settle()
-        updates = {}
-        for ff in self.design.ffs:
-            try:
-                self._eval_statement(ff.body, updates)
-            except SimulationError as error:
-                targets = set()
-                _collect_ff_targets(ff.body, targets)
-                where = ", ".join(sorted(targets)) or "<empty body>"
-                raise SimulationError(
-                    f"cycle {self.cycle}: in always block driving "
-                    f"{where}: {error}"
-                ) from error
-        for target, value in updates.items():
-            self.values[target] = value & mask(self._widths[target])
-        self._settle()
+        if inputs and not self._write(inputs) <= self.compiled.free_inputs:
+            self.compiled.settle(self.state)
+        self.compiled.step(self.state)
 
     def run(
         self,
@@ -80,24 +68,28 @@ class RtlSimulator:
         """Run ``cycles`` cycles; returns the recorded trace.
 
         ``stimulus[c]`` supplies the inputs for cycle ``c`` (missing
-        entries hold their previous values).
+        entries hold their previous values).  A supplied ``trace`` must
+        list the design's signals in declaration order.
         """
+        names = self.compiled.names
         if trace is None:
-            names = self.design.signal_names()
-            trace = SignalTrace(names, [self.values[n] for n in names])
+            trace = SignalTrace(list(names), list(self.state),
+                                _index_of=self.compiled.slots)
+        elif tuple(trace.signal_names) != names:
+            raise ValueError("trace signals differ from the design's")
+        previous = list(self.state)
         for cycle in range(cycles):
-            previous = dict(self.values)
             inputs = stimulus[cycle] if stimulus and cycle < len(stimulus) else None
             self.step(inputs)
-            for index, name in enumerate(trace.signal_names):
-                if self.values[name] != previous[name]:
-                    trace.record(self.cycle, index, previous[name], self.values[name])
+            trace.record_changes(self.cycle, previous, self.state)
+            previous[:] = self.state
+        if cycles > 0:
             trace.close(self.cycle)
         return trace
 
     def value(self, name: str) -> int:
         """Current value of a signal (qualified or top-level name)."""
-        return self.values[self._qualify_input(name)]
+        return self.state[self.slot(name)]
 
     def preset(self, values: dict[str, int], *, reset: bool = False) -> None:
         """Overwrite signal state (register initialisation) and re-settle.
@@ -108,206 +100,29 @@ class RtlSimulator:
         testbench would force them before releasing reset.
         """
         if reset:
-            for name in self.values:
-                self.values[name] = 0
+            self.state[:] = [0] * len(self.state)
             self.cycle = -1
-        for name, value in values.items():
-            qualified = self._qualify_input(name)
-            self.values[qualified] = value & mask(self._widths[qualified])
-        self._settle()
+        self._write(values)
+        self.compiled.settle(self.state)
+
+    def slot(self, name: str) -> int:
+        """Slot of a signal in :attr:`state` (qualified or top-level)."""
+        slots = self.compiled.slots
+        if name in slots:
+            return slots[name]
+        qualified = f"{self.design.top}.{name}"
+        if qualified in slots:
+            return slots[qualified]
+        raise KeyError(f"unknown signal {name!r}")
 
     # -- internals ----------------------------------------------------------
 
-    def _qualify_input(self, name: str) -> str:
-        if name in self.values:
-            return name
-        qualified = f"{self.design.top}.{name}"
-        if qualified in self.values:
-            return qualified
-        raise KeyError(f"unknown signal {name!r}")
-
-    def _settle(self) -> None:
-        for assign in self._order:
-            try:
-                value = self._eval(assign.value)
-            except SimulationError as error:
-                raise SimulationError(
-                    f"cycle {self.cycle}: while settling "
-                    f"{assign.target!r}: {error}"
-                ) from error
-            self.values[assign.target] = value & mask(self._widths[assign.target])
-
-    def _eval_statement(self, statement: ast.Statement, updates: dict[str, int]) -> None:
-        if isinstance(statement, ast.NonBlocking):
-            try:
-                updates[statement.target] = self._eval(statement.value)
-            except SimulationError as error:
-                raise SimulationError(
-                    f"in assignment to {statement.target!r}: {error}"
-                ) from error
-        elif isinstance(statement, ast.If):
-            if self._eval(statement.condition):
-                self._eval_statement(statement.then_body, updates)
-            elif statement.else_body is not None:
-                self._eval_statement(statement.else_body, updates)
-        elif isinstance(statement, ast.Block):
-            for child in statement.statements:
-                self._eval_statement(child, updates)
-        else:
-            raise SimulationError(f"unsupported statement {type(statement).__name__}")
-
-    def _expr_width(self, expr: ast.Expr) -> int:
-        if isinstance(expr, ast.Identifier):
-            return self._widths[expr.name]
-        if isinstance(expr, ast.Number) and expr.width is not None:
-            return expr.width
-        if isinstance(expr, ast.BitSelect):
-            return 1
-        if isinstance(expr, ast.PartSelect):
-            return expr.msb - expr.lsb + 1
-        return 64
-
-    def _eval(self, expr: ast.Expr) -> int:
-        if isinstance(expr, ast.Identifier):
-            return self.values[expr.name]
-        if isinstance(expr, ast.Number):
-            return expr.value if expr.width is None else expr.value & mask(expr.width)
-        if isinstance(expr, ast.UnaryOp):
-            return self._eval_unary(expr)
-        if isinstance(expr, ast.BinaryOp):
-            return self._eval_binary(expr)
-        if isinstance(expr, ast.Ternary):
-            if self._eval(expr.condition):
-                return self._eval(expr.if_true)
-            return self._eval(expr.if_false)
-        if isinstance(expr, ast.BitSelect):
-            return (self._eval(expr.base) >> self._eval(expr.index)) & 1
-        if isinstance(expr, ast.PartSelect):
-            value = self._eval(expr.base)
-            return (value >> expr.lsb) & mask(expr.msb - expr.lsb + 1)
-        if isinstance(expr, ast.Concat):
-            value = 0
-            for part in expr.parts:
-                width = self._expr_width(part)
-                value = (value << width) | (self._eval(part) & mask(width))
-            return value
-        raise SimulationError(f"unsupported expression {type(expr).__name__}")
-
-    def _eval_unary(self, expr: ast.UnaryOp) -> int:
-        operand = self._eval(expr.operand)
-        width = self._expr_width(expr.operand)
-        if expr.op == "~":
-            return ~operand & mask(width)
-        if expr.op == "!":
-            return 0 if operand else 1
-        if expr.op == "-":
-            return -operand & mask(64)
-        if expr.op == "&":  # reduction AND
-            return 1 if operand == mask(width) else 0
-        if expr.op == "|":
-            return 1 if operand else 0
-        if expr.op == "^":
-            return operand.bit_count() & 1
-        raise SimulationError(f"unsupported unary operator {expr.op!r}")
-
-    def _eval_binary(self, expr: ast.BinaryOp) -> int:
-        op = expr.op
-        left = self._eval(expr.left)
-        # Short-circuit logical forms.
-        if op == "&&":
-            return 1 if left and self._eval(expr.right) else 0
-        if op == "||":
-            return 1 if left or self._eval(expr.right) else 0
-        right = self._eval(expr.right)
-        if op == "+":
-            return left + right
-        if op == "-":
-            return (left - right) & mask(64)
-        if op == "*":
-            return left * right
-        if op == "/":
-            return left // right if right else 0
-        if op == "%":
-            return left % right if right else 0
-        if op == "&":
-            return left & right
-        if op == "|":
-            return left | right
-        if op == "^":
-            return left ^ right
-        if op == "<<":
-            return left << min(right, 64)
-        if op == ">>":
-            return left >> min(right, 1 << 16)
-        if op == "==":
-            return 1 if left == right else 0
-        if op == "!=":
-            return 1 if left != right else 0
-        if op == "<":
-            return 1 if left < right else 0
-        if op == "<=":
-            return 1 if left <= right else 0
-        if op == ">":
-            return 1 if left > right else 0
-        if op == ">=":
-            return 1 if left >= right else 0
-        raise SimulationError(f"unsupported binary operator {op!r}")
-
-
-def _schedule(design: ElaboratedDesign) -> list[ElabAssign]:
-    """Topological order of combinational drivers (Kahn's algorithm)."""
-    drivers: dict[str, ElabAssign] = {}
-    for assign in design.assigns:
-        if assign.target in drivers:
-            raise SimulationError(f"multiple drivers for {assign.target!r}")
-        drivers[assign.target] = assign
-
-    ff_targets = design.ff_targets()
-    for target in drivers:
-        if target in ff_targets:
-            raise SimulationError(
-                f"{target!r} driven both combinationally and by a flip-flop"
-            )
-
-    # Dependency edges among combinational targets only.
-    dependents: dict[str, list[str]] = {target: [] for target in drivers}
-    in_degree = {target: 0 for target in drivers}
-    for target, assign in drivers.items():
-        # First-occurrence dedupe, not set(): the topological order this
-        # feeds must be identical across processes (hash-salt-free).
-        for name in dict.fromkeys(ast.expr_identifiers(assign.value)):
-            if name in drivers:
-                dependents[name].append(target)
-                in_degree[target] += 1
-
-    ready = deque(sorted(t for t, deg in in_degree.items() if deg == 0))
-    order: list[ElabAssign] = []
-    while ready:
-        target = ready.popleft()
-        order.append(drivers[target])
-        for dependent in dependents[target]:
-            in_degree[dependent] -= 1
-            if in_degree[dependent] == 0:
-                ready.append(dependent)
-    if len(order) != len(drivers):
-        cyclic = sorted(t for t, deg in in_degree.items() if deg > 0)
-        raise SimulationError(f"combinational loop through {cyclic}")
-    return order
-
-
-def _collect_ff_targets(statement: ast.Statement, out: set[str]) -> None:
-    """Targets of a flip-flop body (names a failing always block)."""
-    if isinstance(statement, ast.NonBlocking):
-        out.add(statement.target)
-    elif isinstance(statement, ast.If):
-        _collect_ff_targets(statement.then_body, out)
-        if statement.else_body is not None:
-            _collect_ff_targets(statement.else_body, out)
-    elif isinstance(statement, ast.Block):
-        for child in statement.statements:
-            _collect_ff_targets(child, out)
-
-
-def _kind_is_input(design: ElaboratedDesign, name: str) -> bool:
-    signal = design.signals[name]
-    return signal.kind is SignalKind.INPUT and signal.depth == 0
+    def _write(self, values: dict[str, int]) -> set[int]:
+        """Write masked values; returns the slots written."""
+        masks = self.compiled.masks
+        written = set()
+        for name, value in values.items():
+            slot = self.slot(name)
+            self.state[slot] = value & masks[slot]
+            written.add(slot)
+        return written

@@ -52,6 +52,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from itertools import compress
+from operator import ne
 from typing import NamedTuple
 
 
@@ -296,6 +298,24 @@ class SignalTrace:
         self._olds.append(old)
         self._news.append(new)
         self.final_cycle = cycle
+
+    def record_changes(self, cycle: int, old: list[int],
+                       new: list[int]) -> None:
+        """Append one event per signal whose value in ``new`` differs
+        from ``old`` (both full, slot-indexed states), in slot order.
+
+        The whole-state counterpart of :meth:`record_unchecked` for a
+        simulator that produces one full state per cycle: the changed
+        slots are found and the four columns extended at C level, with
+        no per-signal Python frame.
+        """
+        changed = list(compress(range(len(new)), map(ne, old, new)))
+        if changed:
+            self._cycles.fromlist([cycle] * len(changed))
+            self._signals.fromlist(changed)
+            self._olds.fromlist([old[i] for i in changed])
+            self._news.fromlist([new[i] for i in changed])
+            self.final_cycle = cycle
 
     def appenders(self):
         """The four bound column-append methods, ``(cycle, signal, old,

@@ -331,6 +331,53 @@ class TestAnalyzeCli:
         assert report.failed("warn") and not report.failed("error")
 
 
+class TestFoldMatchesSimulator:
+    """The constant folder and the simulator share one set of operator
+    rules (:mod:`repro.rtl.semantics`).  Each case is a place where the
+    folder's former private copy of the rules computed something else."""
+
+    @pytest.mark.parametrize("expr,expected", [
+        # ~ and reductions read a composite operand at 64 bits.
+        ("&(a & 8'hFF)", 0),
+        ("{1'b0, ~(a & 8'h0F)} >> 1", 248),
+        # >> saturates its count at 65536, not 64.
+        ("(8'd3 << 64) >> 65", 1),
+        # Constant division and modulo fold instead of raising.
+        ("(a / 8'd2) + (a % 8'd0) + (8'd7 / 8'd0)", 127),
+        # Sized literals truncate to their size.
+        ("4'hFF + 8'd0", 15),
+    ])
+    def test_folded_constant_equals_simulated_value(self, expr, expected):
+        from repro.analysis.fold import refine
+        from repro.rtl.sim import RtlSimulator
+
+        source = f"""
+            module m(input [7:0] a, output [7:0] o);
+              assign o = {expr};
+            endmodule
+        """
+        design = elaborate(parse(source))
+        sim = RtlSimulator(design)
+        sim.step({"a": 0xFF})
+        widths = {name: s.width for name, s in design.signals.items()}
+        folded, contributors = refine(design.assigns[0].value,
+                                      {"m.a": 0xFF}, widths)
+        assert contributors == ()
+        assert folded & 0xFF == sim.value("o") == expected
+
+    def test_constant_division_does_not_crash_the_analysis(self):
+        source = """
+            module m(input clk, input [7:0] a, output reg [7:0] q);
+              wire [7:0] k;
+              assign k = 8'd9 / 8'd2 % 8'd3;
+              always @(posedge clk)
+                if (k == 8'd1) q <= a;
+            endmodule
+        """
+        report = _analyze_fixture(source)
+        assert not report.failed("error")
+
+
 @pytest.fixture
 def datadir():
     from pathlib import Path

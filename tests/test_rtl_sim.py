@@ -1,4 +1,9 @@
-"""Tests for the cycle-driven RTL simulator."""
+"""Tests for the cycle-driven RTL simulator.
+
+Every behavioural class runs against the compiled simulator and, through
+its ``...Reference`` subclass at the end of the file, against the
+reference interpreter it must agree with.
+"""
 
 from dataclasses import replace
 
@@ -8,19 +13,25 @@ from repro.rtl import ast
 from repro.rtl.elaborate import elaborate
 from repro.rtl.parser import parse
 from repro.rtl.sim import RtlSimulator, SimulationError
+from repro.rtl.sim_reference import ReferenceSimulator
 from tests.test_rtl_parser import LISTING_1
 
 
-def make_sim(text: str, top: str | None = None) -> RtlSimulator:
-    return RtlSimulator(elaborate(parse(text), top=top))
+class SimulatorCase:
+    """Base of the behavioural classes: builds ``SIM`` simulators."""
+
+    SIM = RtlSimulator
+
+    def make_sim(self, text: str, top: str | None = None):
+        return self.SIM(elaborate(parse(text), top=top))
 
 
-class TestListing1Behaviour:
+class TestListing1Behaviour(SimulatorCase):
     def test_two_cycle_delay(self):
         # Step convention: inputs are applied, then the clock edge fires.
         # i presented in cycle k is captured by df1 at the end of cycle k
         # and reaches o at the end of cycle k+1 — two edges end to end.
-        sim = make_sim(LISTING_1, top="top")
+        sim = self.make_sim(LISTING_1, top="top")
         outputs = []
         stimulus = [1, 0, 1, 1, 0, 0, 1]
         for value in stimulus:
@@ -29,7 +40,7 @@ class TestListing1Behaviour:
         assert outputs == [0] + stimulus[:-1]
 
     def test_trace_events(self):
-        sim = make_sim(LISTING_1, top="top")
+        sim = self.make_sim(LISTING_1, top="top")
         trace = sim.run(4, stimulus=[{"i": 1}, {"i": 0}, {"i": 0}, {"i": 0}])
         assert trace.final_cycle == 3
         assert trace.value_of("top.df1.q", 0) == 1
@@ -38,9 +49,9 @@ class TestListing1Behaviour:
         assert trace.value_of("top.o", 2) == 0
 
 
-class TestCombinational:
+class TestCombinational(SimulatorCase):
     def test_assign_chain(self):
-        sim = make_sim(
+        sim = self.make_sim(
             """
             module m(input a, output o);
               wire b;
@@ -56,7 +67,7 @@ class TestCombinational:
 
     def test_order_independence(self):
         # Declared out of dependency order; scheduler must topo-sort.
-        sim = make_sim(
+        sim = self.make_sim(
             """
             module m(input a, output o);
               wire b;
@@ -70,7 +81,7 @@ class TestCombinational:
 
     def test_combinational_loop_rejected(self):
         with pytest.raises(SimulationError):
-            make_sim(
+            self.make_sim(
                 """
                 module m(input a, output o);
                   wire x;
@@ -82,7 +93,7 @@ class TestCombinational:
 
     def test_multiple_drivers_rejected(self):
         with pytest.raises(SimulationError):
-            make_sim(
+            self.make_sim(
                 """
                 module m(input a, output o);
                   assign o = a;
@@ -92,7 +103,7 @@ class TestCombinational:
             )
 
     def test_arithmetic_and_width_truncation(self):
-        sim = make_sim(
+        sim = self.make_sim(
             """
             module m(input [3:0] a, input [3:0] b, output [3:0] sum);
               assign sum = a + b;
@@ -103,7 +114,7 @@ class TestCombinational:
         assert sim.value("sum") == (12 + 7) & 0xF
 
     def test_ternary_and_compare(self):
-        sim = make_sim(
+        sim = self.make_sim(
             """
             module m(input [7:0] a, input [7:0] b, output [7:0] o);
               assign o = (a < b) ? a : b;
@@ -114,7 +125,7 @@ class TestCombinational:
         assert sim.value("o") == 4
 
     def test_concat_and_selects(self):
-        sim = make_sim(
+        sim = self.make_sim(
             """
             module m(input [7:0] a, output [7:0] o, output bit3);
               assign o = {a[3:0], a[7:4]};
@@ -127,7 +138,7 @@ class TestCombinational:
         assert sim.value("bit3") == 0
 
     def test_division_by_zero_is_zero(self):
-        sim = make_sim(
+        sim = self.make_sim(
             """
             module m(input [7:0] a, input [7:0] b, output [7:0] q, output [7:0] r);
               assign q = a / b;
@@ -140,7 +151,7 @@ class TestCombinational:
         assert sim.value("r") == 0
 
     def test_reduction_operators(self):
-        sim = make_sim(
+        sim = self.make_sim(
             """
             module m(input [3:0] a, output all1, output any1, output par);
               assign all1 = &a;
@@ -155,7 +166,7 @@ class TestCombinational:
         assert (sim.value("all1"), sim.value("any1"), sim.value("par")) == (0, 1, 1)
 
 
-class TestSequential:
+class TestSequential(SimulatorCase):
     COUNTER = """
     module counter(input clk, input rst, output reg [7:0] count);
       always @(posedge clk)
@@ -165,7 +176,7 @@ class TestSequential:
     """
 
     def test_counter(self):
-        sim = make_sim(self.COUNTER)
+        sim = self.make_sim(self.COUNTER)
         sim.step({"rst": 1})
         assert sim.value("count") == 0
         for _ in range(5):
@@ -173,7 +184,7 @@ class TestSequential:
         assert sim.value("count") == 5
 
     def test_nonblocking_simultaneous_swap(self):
-        sim = make_sim(
+        sim = self.make_sim(
             """
             module swap(input clk, input load, input [3:0] x, output reg [3:0] a);
               reg [3:0] b;
@@ -197,7 +208,7 @@ class TestSequential:
 
     def test_ff_and_comb_driver_conflict_rejected(self):
         with pytest.raises(SimulationError):
-            make_sim(
+            self.make_sim(
                 """
                 module m(input clk, input d, output reg q);
                   assign q = d;
@@ -207,7 +218,7 @@ class TestSequential:
             )
 
     def test_last_write_wins_in_block(self):
-        sim = make_sim(
+        sim = self.make_sim(
             """
             module m(input clk, input d, output reg q);
               always @(posedge clk) begin
@@ -221,14 +232,14 @@ class TestSequential:
         assert sim.value("q") == 1
 
     def test_inputs_hold_between_steps(self):
-        sim = make_sim(self.COUNTER)
+        sim = self.make_sim(self.COUNTER)
         sim.step({"rst": 1})
         sim.step({"rst": 0})
         sim.step()  # rst stays 0
         assert sim.value("count") == 2
 
 
-class TestExpressionEvaluator:
+class TestExpressionEvaluator(SimulatorCase):
     """Property-style checks of the evaluator vs hand-computed values."""
 
     A_VALUES = (0, 1, 7, 0x80, 0xFE, 0xFF)
@@ -253,7 +264,7 @@ class TestExpressionEvaluator:
         ("||", lambda a, b: int(bool(a) or bool(b))),
     ])
     def test_binary_ops_match_python(self, op, fn):
-        sim = make_sim(
+        sim = self.make_sim(
             f"""
             module m(input [7:0] a, input [7:0] b, output [7:0] o);
               assign o = a {op} b;
@@ -274,7 +285,7 @@ class TestExpressionEvaluator:
         ("^", lambda a: bin(a).count("1") & 1),
     ])
     def test_unary_ops_match_python(self, op, fn):
-        sim = make_sim(
+        sim = self.make_sim(
             f"""
             module m(input [7:0] a, output [7:0] o);
               assign o = {op}a;
@@ -287,7 +298,7 @@ class TestExpressionEvaluator:
 
     def test_wide_intermediate_truncates_at_the_target(self):
         # The sum is computed unmasked; only the 4-bit target truncates.
-        sim = make_sim(
+        sim = self.make_sim(
             """
             module m(input [3:0] a, output [3:0] narrow, output [7:0] wide);
               assign narrow = a + a + a;
@@ -300,7 +311,7 @@ class TestExpressionEvaluator:
         assert sim.value("wide") == 45
 
     def test_oversized_shift_counts_do_not_explode(self):
-        sim = make_sim(
+        sim = self.make_sim(
             """
             module m(input [7:0] a, input [7:0] n, output [7:0] l, output [7:0] r);
               assign l = a << n;
@@ -313,7 +324,7 @@ class TestExpressionEvaluator:
         assert sim.value("r") == 0
 
     def test_input_values_mask_to_port_width(self):
-        sim = make_sim(
+        sim = self.make_sim(
             """
             module m(input [3:0] a, output [3:0] o);
               assign o = a;
@@ -324,12 +335,12 @@ class TestExpressionEvaluator:
         assert sim.value("o") == 0x2
 
     def test_unknown_input_is_a_key_error(self):
-        sim = make_sim(LISTING_1, top="top")
+        sim = self.make_sim(LISTING_1, top="top")
         with pytest.raises(KeyError, match="unknown signal"):
             sim.step({"no_such_port": 1})
 
     def test_driving_a_combinational_output_is_overridden_by_settle(self):
-        sim = make_sim(
+        sim = self.make_sim(
             """
             module m(input a, output o);
               assign o = ~a;
@@ -340,11 +351,11 @@ class TestExpressionEvaluator:
         assert sim.value("o") == 0  # settle recomputes ~a
 
 
-class TestPreset:
+class TestPreset(SimulatorCase):
     COUNTER = TestSequential.COUNTER
 
     def test_preset_seeds_state_and_resettles(self):
-        sim = make_sim(self.COUNTER)
+        sim = self.make_sim(self.COUNTER)
         sim.step({"rst": 0})
         sim.step()
         sim.preset({"count": 40}, reset=True)
@@ -354,19 +365,21 @@ class TestPreset:
         assert sim.value("count") == 41
 
     def test_preset_masks_to_signal_width(self):
-        sim = make_sim(self.COUNTER)
+        sim = self.make_sim(self.COUNTER)
         sim.preset({"count": 0x1FF}, reset=True)
         assert sim.value("count") == 0xFF
 
     def test_preset_unknown_signal_is_a_key_error(self):
-        sim = make_sim(self.COUNTER)
+        sim = self.make_sim(self.COUNTER)
         with pytest.raises(KeyError, match="unknown signal"):
             sim.preset({"no_such": 1})
 
 
 class TestErrorContext:
     """A SimulationError mid-run names the cycle and the offending
-    signal/statement (the satellite bugfix regression tests)."""
+    signal/statement.  Only the interpreter can fail mid-run; the
+    compiled simulator rejects the same constructs at construction
+    (:class:`TestCompileTimeRejection`)."""
 
     def bogus(self, operand_name: str) -> ast.UnaryOp:
         # An operator the evaluator does not implement, to force a
@@ -381,7 +394,7 @@ class TestErrorContext:
             endmodule
             """
         ))
-        sim = RtlSimulator(design)
+        sim = ReferenceSimulator(design)
         sim.step({"a": 1})
         broken = replace(sim._order[0], value=self.bogus("m.a"))
         sim._order = [broken]
@@ -394,7 +407,7 @@ class TestErrorContext:
 
     def test_ff_error_names_driven_signal_and_cycle(self):
         design = elaborate(parse(TestSequential.COUNTER))
-        sim = RtlSimulator(design)
+        sim = ReferenceSimulator(design)
         sim.step({"rst": 1})
         ff = design.ffs[0]
         design.ffs[0] = replace(
@@ -408,3 +421,66 @@ class TestErrorContext:
         assert "always block driving counter.count" in message
         assert "in assignment to 'counter.count'" in message
         assert "unsupported unary operator" in message
+
+
+class TestCompileTimeRejection:
+    """The compiled simulator refuses an unsupported construct when it
+    is built, naming the signal the construct drives."""
+
+    bogus = TestErrorContext.bogus
+
+    def test_assign_error_names_driven_signal(self):
+        design = elaborate(parse(
+            """
+            module m(input a, output o);
+              assign o = ~a;
+            endmodule
+            """
+        ))
+        design.assigns[0] = replace(design.assigns[0],
+                                    value=self.bogus("m.a"))
+        with pytest.raises(SimulationError) as err:
+            RtlSimulator(design)
+        message = str(err.value)
+        assert "driver of 'm.o'" in message
+        assert "unsupported unary operator" in message
+
+    def test_ff_error_names_driven_signal(self):
+        design = elaborate(parse(TestSequential.COUNTER))
+        design.ffs[0] = replace(
+            design.ffs[0],
+            body=ast.If(ast.Identifier("counter.rst"),
+                        ast.NonBlocking("counter.count", ast.BinaryOp(
+                            "**", ast.Identifier("counter.count"),
+                            ast.Number(2)))),
+        )
+        with pytest.raises(SimulationError) as err:
+            RtlSimulator(design)
+        message = str(err.value)
+        assert "always block driving counter.count" in message
+        assert "in assignment to 'counter.count'" in message
+        assert "unsupported binary operator '**'" in message
+
+
+class _Reference:
+    SIM = ReferenceSimulator
+
+
+class TestListing1BehaviourReference(_Reference, TestListing1Behaviour):
+    pass
+
+
+class TestCombinationalReference(_Reference, TestCombinational):
+    pass
+
+
+class TestSequentialReference(_Reference, TestSequential):
+    pass
+
+
+class TestExpressionEvaluatorReference(_Reference, TestExpressionEvaluator):
+    pass
+
+
+class TestPresetReference(_Reference, TestPreset):
+    pass

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from time import perf_counter
 
 from repro import telemetry
 from repro.boom.core import CoreResult
@@ -150,6 +151,8 @@ class ContractDetector:
         self.probe_stale_stores = probe_stale_stores
         #: Cumulative extra hardware runs (variants) this detector made.
         self.variant_runs = 0
+        #: Cumulative wall time of those runs (PUT simulation time).
+        self.variant_seconds = 0.0
         #: Cumulative trace events examined by variant-run collection.
         self.events_examined = 0
         #: Golden-trace memo: every ISS contract-trace request routes
@@ -230,6 +233,14 @@ class ContractDetector:
             return position, obs_a, obs_b
         return None
 
+    def _run_hardware(self, program: TestProgram) -> CoreResult:
+        """One extra hardware run, counted and timed."""
+        started = perf_counter()
+        result = self.run_hardware(program)
+        self.variant_seconds += perf_counter() - started
+        self.variant_runs += 1
+        return result
+
     # -- public API ---------------------------------------------------------
 
     def detect(self, program: TestProgram,
@@ -246,8 +257,7 @@ class ContractDetector:
     def _detect(self, program: TestProgram,
                 result: CoreResult | None) -> list[ContractViolation]:
         if result is None:
-            result = self.run_hardware(program)
-            self.variant_runs += 1
+            result = self._run_hardware(program)
         base_hw = self.collector.collect(result)
         speculative = bool(self._execution)
         if speculative:
@@ -276,8 +286,7 @@ class ContractDetector:
             ("input-0", base_model, base_hw)
         ]
         for index, variant in enumerate(self._variants(program, lines), 1):
-            variant_result = self.run_hardware(variant)
-            self.variant_runs += 1
+            variant_result = self._run_hardware(variant)
             variant_hw = self.collector.collect(variant_result)
             self.events_examined += variant_result.trace.events_examined
             if speculative:

@@ -219,6 +219,7 @@ class OnlinePhase:
         self._phase = "simulate"
         events_before = self.events_examined
         memo_hit_delta = memo_miss_delta = variant_run_delta = 0
+        variant_seconds = 0.0
         with telemetry.timed("online/simulate") as simulate_timer:
             result = self.core.run(program)
 
@@ -233,12 +234,15 @@ class OnlinePhase:
             if self.contract is not None:
                 memo = self.contract.memo
                 runs_before = self.contract.variant_runs
+                variant_seconds_before = self.contract.variant_seconds
                 variant_events_before = self.contract.events_examined
                 memo_hits_before = memo.hits
                 memo_misses_before = memo.misses
                 violations = self.contract.detect(program, result)
                 reports.extend(violations)
                 variant_run_delta = self.contract.variant_runs - runs_before
+                variant_seconds = \
+                    self.contract.variant_seconds - variant_seconds_before
                 self.stats.contract_runs += variant_run_delta
                 self.stats.contract_violations += len(violations)
                 memo_hit_delta = memo.hits - memo_hits_before
@@ -268,9 +272,11 @@ class OnlinePhase:
         self.stats.mispredicted_windows += sum(
             1 for w in windows if w.mispredicted
         )
-        self.stats.simulate_seconds += simulate_timer.seconds
-        self.stats.analysis_seconds += \
-            detect_timer.seconds + coverage_timer.seconds
+        # The contract detector's variant runs happen inside the detect
+        # phase but are PUT simulation; move their time across.
+        self.stats.simulate_seconds += simulate_timer.seconds + variant_seconds
+        self.stats.analysis_seconds += detect_timer.seconds \
+            - variant_seconds + coverage_timer.seconds
 
         findings = [(report.kind, report) for report in reports]
         recorder = telemetry.recorder()

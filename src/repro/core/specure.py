@@ -90,6 +90,17 @@ class SpecureCampaign:
 class Specure:
     """Top-level entry point of the reproduction."""
 
+    #: The campaign knobs: every constructor argument besides the PUT
+    #: (``config``/``core``/``offline``) and the ``seed``.  Shard work
+    #: orders rebuild a campaign from these names (:meth:`knobs`), so a
+    #: new knob is one constructor argument plus one entry here.
+    KNOBS = (
+        "coverage", "monitor_dcache", "use_special_seeds",
+        "random_seed_count", "splice_probability", "mutation_rounds",
+        "detector", "contract", "inputs_per_class", "max_spec_window",
+        "instruction_categories", "static_prune",
+    )
+
     def __init__(
         self,
         config=None,  # BoomConfig, RtlPutConfig, ... (None: small BOOM)
@@ -114,7 +125,7 @@ class Specure:
         Both are pure functions of the configuration (the core's engine
         resets exactly between programs; the offline artifacts derive
         from the netlist alone), so a process that runs many campaigns
-        against one design — the persistent worker pool
+        against one design — a shard worker process
         (:mod:`repro.harness.parallel`) — builds them once and hands
         them to every Specure instead of re-elaborating the netlist and
         re-running the offline phase per campaign.  When ``core`` is
@@ -147,6 +158,10 @@ class Specure:
         self.static_prune = static_prune
         self.core = core if core is not None else build_put(self.config)
         self._offline: OfflineArtifacts | None = offline
+
+    def knobs(self) -> dict:
+        """This Specure's knob values, keyed by :attr:`KNOBS` name."""
+        return {name: getattr(self, name) for name in self.KNOBS}
 
     def offline(self) -> OfflineArtifacts:
         """Run (and cache) the offline phase for this PUT."""
@@ -236,28 +251,11 @@ class Specure:
         deterministic regardless of worker scheduling.  ``stop_kind``
         ends each shard at its first finding of that vulnerability kind.
         """
-        from repro.harness.parallel import run_sharded_campaign
+        from repro.harness.parallel import run_shards
 
-        return run_sharded_campaign(
-            self.config,
-            iterations_per_shard,
-            shards=shards,
-            jobs=jobs,
-            base_seed=self.seed,
-            coverage=self.coverage,
-            monitor_dcache=self.monitor_dcache,
-            use_special_seeds=self.use_special_seeds,
-            random_seed_count=self.random_seed_count,
-            splice_probability=self.splice_probability,
-            mutation_rounds=self.mutation_rounds,
-            detector=self.detector,
-            contract=self.contract,
-            inputs_per_class=self.inputs_per_class,
-            max_spec_window=self.max_spec_window,
-            instruction_categories=self.instruction_categories,
-            static_prune=self.static_prune,
-            stop_kind=stop_kind,
-        )
+        return run_shards(self, shards, jobs,
+                          iterations=iterations_per_shard,
+                          stop_kind=stop_kind)
 
 
 def stop_on_kind(kind: str) -> Callable[[list[FuzzFinding]], bool]:

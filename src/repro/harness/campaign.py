@@ -17,7 +17,6 @@ module's docstring.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro.boom.config import BoomConfig
@@ -103,7 +102,7 @@ def _coverage_repeat(
 
 
 def _coverage_repeat_star(args) -> CoverageCurve:
-    """Picklable adapter for pool workers (module-level by necessity)."""
+    """Picklable adapter for shard workers (module-level by necessity)."""
     return _coverage_repeat(*args)
 
 
@@ -150,7 +149,7 @@ class DetectionOutcome:
 
 
 def _detection_kind_star(args) -> DetectionOutcome:
-    """One single-kind detection campaign (picklable pool worker)."""
+    """One single-kind detection campaign (picklable shard worker)."""
     config, kind, iterations, seed, monitor_dcache, use_special_seeds = args
     return run_detection_campaign(
         config, [kind], iterations, seed=seed,
@@ -231,27 +230,15 @@ def run_timed_campaign(
     the scaled equivalent.  The deadline is checked between iterations,
     so the run overshoots by at most one evaluation.
 
-    With ``shards >= 2`` the budget is fuzzed by that many independent
-    hash-derived seed streams (see
-    :func:`~repro.harness.parallel.shard_seed`) concurrently — ``jobs``
-    worker processes — and the shard reports are merged into one
-    :class:`CampaignReport` (see :mod:`repro.harness.parallel`).
+    The budget is fuzzed by ``shards`` independent hash-derived seed
+    streams (see :func:`~repro.harness.parallel.shard_seed`; shard 0 is
+    ``seed`` itself) concurrently — ``jobs`` worker processes — and the
+    shard reports are merged into one :class:`CampaignReport` (see
+    :mod:`repro.harness.parallel`).
     """
-    if seconds <= 0:
-        raise ValueError("seconds must be positive")
-    if shards > 1:
-        from repro.harness.parallel import run_sharded_timed_campaign
+    from repro.harness.parallel import run_sharded_timed_campaign
 
-        return run_sharded_timed_campaign(
-            config, seconds, shards=shards, jobs=jobs, base_seed=seed,
-            coverage=coverage, monitor_dcache=monitor_dcache,
-        )
-    specure = Specure(config, seed=seed, coverage=coverage,
-                      monitor_dcache=monitor_dcache)
-    deadline = time.monotonic() + seconds
-
-    def out_of_time(_findings) -> bool:
-        return time.monotonic() >= deadline
-
-    # The iteration cap is a backstop; the deadline does the real work.
-    return specure.campaign(10_000_000, stop_when=out_of_time)
+    return run_sharded_timed_campaign(
+        config, seconds, shards=shards, jobs=jobs, base_seed=seed,
+        coverage=coverage, monitor_dcache=monitor_dcache,
+    )

@@ -29,23 +29,29 @@ files).  See the compatibility note in ``docs/scenarios.md``.
 
 Executor architecture
 ---------------------
-Work is dispatched to a **persistent work-stealing pool**
-(:func:`imap_shard_units`): worker processes live for the process
-lifetime (one fork per jobs count, not one per campaign) and keep
-**shared read-only statics** per ``(design, config)`` —
-the elaborated netlist or RTL design inside a reusable PUT backend
-(:func:`repro.puts.base.build_put`), its decode caches (seed images
-decode once per process), and the
-offline artifacts (:func:`shared_statics`) — so a shard campaign costs
-exactly its fuzzing loop, with no per-shard netlist elaboration or
-offline phase.  Shards become fine-grained deterministic work units
-(unit id = spec position) dispatched via ``imap_unordered`` with chunk
-size 1: a free worker steals the next pending unit immediately, and
-results are re-assembled by unit id (:func:`map_shards`), keeping merged
-reports byte-identical to serial runs whatever the completion order.
-Worker exceptions come back as values, are re-raised as
-:class:`ShardExecutionError` naming the failing shard, and terminate the
-pool promptly instead of joining stuck siblings; see ``docs/performance.md``.
+:func:`imap_shard_units` has two execution paths and one failure
+contract.  ``jobs<=1`` runs the units in an inline loop in this
+process; ``jobs>1`` (or a :class:`RetryPolicy` with ``isolate``) hands
+them to the **worker fleet** (:class:`_WorkerFleet`): worker processes
+that live for the process lifetime (one fork per jobs count, not one
+per campaign), each behind its own pipe.  Workers keep **shared
+read-only statics** per ``(design, config)`` — the elaborated netlist
+or RTL design inside a reusable PUT backend
+(:func:`repro.puts.base.build_put`), its decode caches, and the offline
+artifacts (:func:`shared_statics`) — so a shard costs exactly its
+fuzzing loop.  Each shard is one deterministic work unit (unit id =
+spec position) handed to whichever worker is idle, so a slow unit
+never idles the others; results are re-assembled by unit id
+(:func:`map_shards`), keeping merged reports byte-identical to serial
+runs whatever the completion order.  The fleet replaces a worker that
+dies, and its watchdog kills one whose unit stops making progress.
+
+Every call runs under a :class:`RetryPolicy` — by default one attempt,
+failing on exhaustion.  A unit that exhausts its attempts raises
+:class:`ShardExecutionError` naming its shard (inline, the original
+exception is its ``__cause__``), after the fleet is torn down; under
+``on_exhaust="degrade"`` it is yielded as a :class:`UnitFailure`
+marker instead.  See ``docs/performance.md``.
 
 Merge semantics
 ---------------
@@ -103,67 +109,25 @@ def shard_seed(base_seed: int, shard: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Worker-process plumbing: persistent pool + per-process shared statics
+# Worker-process plumbing: per-process shared statics
 # ----------------------------------------------------------------------
 
 class ShardExecutionError(RuntimeError):
-    """A work unit's worker raised inside the pool.
+    """A work unit exhausted its attempts under ``on_exhaust="fail"``.
 
-    Carries the failing shard id (``shard``) and the worker-side
-    traceback text (``worker_traceback``); the pool the unit ran in is
-    torn down promptly before this propagates, so sibling units never
-    hold the caller hostage.
+    Carries the failing shard id (``shard``) and the unit's traceback
+    text (``worker_traceback``).  Raised the same way whatever the jobs
+    count: the fleet is torn down first, so sibling units never hold
+    the caller hostage, and an inline unit's original exception is
+    chained as ``__cause__``.
     """
 
     def __init__(self, shard: int, worker_traceback: str):
         super().__init__(
-            f"shard {shard} failed in a worker process:\n{worker_traceback}"
+            f"shard {shard} failed:\n{worker_traceback}"
         )
         self.shard = shard
         self.worker_traceback = worker_traceback
-
-
-#: The process-lifetime worker pool (one per jobs count, lazily built).
-_POOL: multiprocessing.pool.Pool | None = None
-_POOL_JOBS = 0
-_POOL_ATEXIT_REGISTERED = False
-
-
-def _get_pool(jobs: int):
-    """The persistent worker pool, (re)built only when ``jobs`` changes.
-
-    Workers are initialized once per process lifetime and keep their
-    per-process statics (:func:`shared_statics`) across campaigns —
-    repeated `imap_shards` calls reuse warm processes instead of paying
-    a fork + netlist elaboration + offline phase per campaign.
-    """
-    global _POOL, _POOL_JOBS, _POOL_ATEXIT_REGISTERED
-    if _POOL is not None and _POOL_JOBS != jobs:
-        shutdown_pool()
-    if _POOL is None:
-        _POOL = _pool_context().Pool(processes=jobs)
-        _POOL_JOBS = jobs
-        if not _POOL_ATEXIT_REGISTERED:
-            atexit.register(shutdown_pool)
-            _POOL_ATEXIT_REGISTERED = True
-    return _POOL
-
-
-def shutdown_pool() -> None:
-    """Terminate and discard the persistent pool (idempotent).
-
-    Called automatically at interpreter exit, when ``jobs`` changes, and
-    on worker failure or interrupt — `terminate` rather than `close` so
-    a stuck sibling unit cannot block the teardown.  Also tears down the
-    resilient worker fleet so one call quiesces every worker process.
-    """
-    global _POOL, _POOL_JOBS
-    if _POOL is not None:
-        _POOL.terminate()
-        _POOL.join()
-        _POOL = None
-        _POOL_JOBS = 0
-    shutdown_fleet()
 
 
 #: Per-process shared read-only statics: one (core, offline artifacts)
@@ -200,101 +164,10 @@ def shared_statics(config) -> tuple[Put, OfflineArtifacts]:
     return value
 
 
-def shared_specure(config, **knobs) -> Specure:
-    """A :class:`Specure` wired onto this process's shared statics."""
-    core, offline = shared_statics(config)
-    return Specure(core=core, offline=offline, **knobs)
-
-
-def _run_unit(payload):
-    """Work-unit envelope executed in the pool (or inline).
-
-    Returns ``(unit_id, ok, result_or_traceback)`` — errors travel back
-    as values so the dispatcher can name the failing unit and tear the
-    pool down promptly instead of letting the context manager join
-    still-running siblings first.
-    """
-    unit_id, worker, item = payload
-    try:
-        return unit_id, True, worker(item)
-    except Exception:
-        return unit_id, False, traceback.format_exc()
-
-
 def _shard_of(item, unit_id: int) -> int:
-    """Best-effort shard id of a work item (for error reporting)."""
+    """The shard id of a work item, or its unit id when it has none."""
     shard = getattr(item, "shard", None)
-    if isinstance(shard, int):
-        return shard
-    if isinstance(item, tuple) and len(item) >= 2 and isinstance(item[1], int):
-        return item[1]  # the scenario runner's (spec, shard, seed) tasks
-    return unit_id
-
-
-@dataclass(frozen=True)
-class ShardSpec:
-    """One shard's full, picklable work description."""
-
-    shard: int
-    config: object  # BoomConfig | RtlPutConfig (any Put configuration)
-    seed: int
-    coverage: str = "lp"
-    iterations: int = 0
-    seconds: float | None = None
-    monitor_dcache: bool = False
-    use_special_seeds: bool = True
-    random_seed_count: int = 4
-    splice_probability: float = 0.15
-    mutation_rounds: int = 3
-    detector: str = "ift"
-    contract: str = "ct-seq"
-    inputs_per_class: int = 3
-    max_spec_window: int = 16
-    instruction_categories: tuple[str, ...] = ()
-    static_prune: bool = False
-    stop_kind: str | None = None
-
-
-def _run_shard(spec: ShardSpec) -> CampaignReport:
-    """Execute one shard (runs inside a worker process)."""
-    import time
-
-    specure = shared_specure(
-        spec.config,
-        seed=spec.seed,
-        coverage=spec.coverage,
-        monitor_dcache=spec.monitor_dcache,
-        use_special_seeds=spec.use_special_seeds,
-        random_seed_count=spec.random_seed_count,
-        splice_probability=spec.splice_probability,
-        mutation_rounds=spec.mutation_rounds,
-        detector=spec.detector,
-        contract=spec.contract,
-        inputs_per_class=spec.inputs_per_class,
-        max_spec_window=spec.max_spec_window,
-        instruction_categories=spec.instruction_categories,
-        static_prune=spec.static_prune,
-    )
-    deadline = (
-        None if spec.seconds is None else time.monotonic() + spec.seconds
-    )
-
-    def stop(findings) -> bool:
-        if deadline is not None and time.monotonic() >= deadline:
-            return True
-        if spec.stop_kind is not None:
-            return any(f.kind == spec.stop_kind for f in findings)
-        return False
-
-    iterations = spec.iterations if spec.seconds is None else 10_000_000
-    return specure.campaign(iterations, stop_when=stop)
-
-
-def _pool_context():
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # platforms without fork
-        return multiprocessing.get_context("spawn")
+    return shard if isinstance(shard, int) else unit_id
 
 
 # ----------------------------------------------------------------------
@@ -303,7 +176,7 @@ def _pool_context():
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How the resilient dispatcher treats failing or hung work units.
+    """How the executor treats failing or hung work units.
 
     ``max_retries`` bounds *re*-tries: a unit runs at most
     ``1 + max_retries`` times, always with the same seed (a retry that
@@ -312,7 +185,7 @@ class RetryPolicy:
     watchdog: a worker whose unit has shown no progress — no completed
     recv, and no fresh heartbeat line in ``progress_dir`` — for that
     long is SIGKILLed and its unit retried.  ``on_exhaust`` picks the
-    endgame: ``"fail"`` raises :class:`ShardExecutionError` (the legacy
+    endgame: ``"fail"`` raises :class:`ShardExecutionError` (the
     all-stop), ``"degrade"`` yields a :class:`UnitFailure` marker so the
     campaign completes without the quarantined shard.  ``isolate``
     forces worker processes even at ``jobs=1`` (required for the
@@ -364,8 +237,8 @@ def _fleet_worker_main(conn) -> None:
     ``(unit_id, ok, result_or_traceback)`` until the pipe closes.
 
     SIGINT is ignored — on a keyboard interrupt the parent owns the
-    shutdown (exactly like ``multiprocessing.Pool`` initializers do),
-    so workers never die mid-write from the tty's signal fan-out.
+    shutdown, so workers never die mid-write from the tty's signal
+    fan-out.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
@@ -399,13 +272,12 @@ class _FleetWorker:
 
 
 class _WorkerFleet:
-    """A crash-survivable pool: one duplex pipe per worker, no shared
-    queues.
+    """A crash-survivable worker pool: one duplex pipe per worker, no
+    shared queues.
 
-    ``multiprocessing.Pool`` multiplexes every worker over shared
-    result queues, so a SIGKILLed worker can take the queue's feeder
-    state (or a held lock) down with it — the documented reason Pool
-    deadlocks on lost workers.  The fleet gives each worker a private
+    A pool that multiplexes every worker over shared result queues can
+    lose the queue's feeder state (or a held lock) with a SIGKILLed
+    worker and deadlock.  The fleet gives each worker a private
     :func:`Pipe`; losing a worker breaks exactly one pipe, which the
     dispatcher observes via the process sentinel and repairs by
     respawning that single worker.
@@ -413,7 +285,10 @@ class _WorkerFleet:
 
     def __init__(self, jobs: int):
         self.jobs = jobs
-        self.ctx = _pool_context()
+        try:
+            self.ctx = multiprocessing.get_context("fork")
+        except ValueError:  # platforms without fork
+            self.ctx = multiprocessing.get_context("spawn")
         self.workers = [self._spawn() for _ in range(jobs)]
 
     def _spawn(self) -> _FleetWorker:
@@ -437,7 +312,13 @@ class _WorkerFleet:
         worker.assigned_at = 0.0
 
     def shutdown(self) -> None:
+        """Stop every worker: idle ones by message, busy ones — whose
+        units are being abandoned — by SIGKILL, so teardown never waits
+        on a running unit."""
         for worker in self.workers:
+            if worker.unit_id is not None:
+                worker.process.kill()
+                continue
             try:
                 worker.conn.send(None)
             except (OSError, ValueError):
@@ -458,19 +339,30 @@ _FLEET_ATEXIT_REGISTERED = False
 
 
 def _get_fleet(jobs: int) -> _WorkerFleet:
+    """The process-lifetime fleet, (re)built only when ``jobs`` changes.
+
+    Workers keep their per-process statics (:func:`shared_statics`)
+    across campaigns — repeated calls reuse warm processes instead of
+    paying a fork + netlist elaboration + offline phase per campaign.
+    """
     global _FLEET, _FLEET_ATEXIT_REGISTERED
     if _FLEET is not None and _FLEET.jobs != jobs:
-        shutdown_fleet()
+        shutdown_pool()
     if _FLEET is None:
         _FLEET = _WorkerFleet(jobs)
         if not _FLEET_ATEXIT_REGISTERED:
-            atexit.register(shutdown_fleet)
+            atexit.register(shutdown_pool)
             _FLEET_ATEXIT_REGISTERED = True
     return _FLEET
 
 
-def shutdown_fleet() -> None:
-    """Stop and discard the resilient worker fleet (idempotent)."""
+def shutdown_pool() -> None:
+    """Stop and discard the worker fleet (idempotent).
+
+    Called at interpreter exit, when ``jobs`` changes, and on a unit
+    failure, interrupt or abandoned generator; the next call that needs
+    workers forks a fresh fleet.
+    """
     global _FLEET
     if _FLEET is not None:
         _FLEET.shutdown()
@@ -512,8 +404,11 @@ def _imap_resilient(worker, specs, jobs: int, policy: RetryPolicy):
     ``result`` is a :class:`UnitFailure` for units that exhausted their
     retries under ``on_exhaust="degrade"``.  Raises
     :class:`ShardExecutionError` (after tearing the fleet down) under
-    ``on_exhaust="fail"`` — the legacy executor's all-stop contract.
+    ``on_exhaust="fail"``.  An empty unit list returns without starting
+    (or re-forking) a fleet.
     """
+    if not specs:
+        return
     pending = deque(range(len(specs)))
     attempts = {unit_id: 0 for unit_id in range(len(specs))}
 
@@ -621,19 +516,43 @@ def _imap_resilient(worker, specs, jobs: int, policy: RetryPolicy):
     except BaseException:
         # ShardExecutionError, KeyboardInterrupt, or an abandoned
         # generator: quiesce every worker; the next call rebuilds.
-        shutdown_fleet()
+        shutdown_pool()
         raise
 
 
-def _imap_inline_resilient(worker, specs, policy: RetryPolicy):
-    """In-process retry/quarantine for ``jobs<=1`` without isolation.
+#: The policy of a call that names none: one attempt, and a failure
+#: stops the campaign.
+_FAIL_FAST = RetryPolicy(max_retries=0, on_exhaust="fail")
 
-    Covers the exception failure mode only — whole-process faults
-    (kills, hangs) need the fleet, which the caller selects via
-    ``policy.isolate``.  Exhaustion raises the same
-    :class:`ShardExecutionError` the fleet does, so callers observe one
-    failure contract whatever the jobs count.
+
+def imap_shard_units(worker, specs, jobs: int | None,
+                     policy: RetryPolicy | None = None):
+    """Yield ``(unit_id, spec, worker(spec))`` as units *complete*.
+
+    Every spec becomes one deterministic work unit.  ``jobs=None``/
+    ``<=1`` runs the units in spec order in this process; ``jobs>1``,
+    or a policy that demands ``isolate``, hands them to the worker
+    fleet (:func:`_imap_resilient`), where an idle worker takes the
+    next pending unit the moment it finishes its previous one.  Unit
+    ids let callers re-assemble results into spec order
+    (:func:`map_shards`), which keeps merged reports byte-identical to
+    serial runs regardless of completion order.
+
+    Both paths run under ``policy`` (default: one attempt, fail): a
+    failed unit is retried at the same seed up to ``max_retries``
+    times, and then either raises :class:`ShardExecutionError` naming
+    its shard or, under ``on_exhaust="degrade"``, is yielded as a
+    :class:`UnitFailure` marker.  Inline, only exceptions fail a unit
+    and the original one is chained as ``__cause__``; the fleet also
+    survives killed, crashed and (with the watchdog) hung workers.
+    ``worker`` and every spec must be picklable.
     """
+    if policy is None:
+        policy = _FAIL_FAST
+    jobs = 1 if jobs is None else max(1, min(jobs, len(specs)))
+    if jobs > 1 or policy.isolate:
+        yield from _imap_resilient(worker, specs, jobs, policy)
+        return
     for unit_id, spec in enumerate(specs):
         for attempt in range(1, policy.max_retries + 2):
             try:
@@ -641,72 +560,15 @@ def _imap_inline_resilient(worker, specs, policy: RetryPolicy):
             except Exception as error:
                 if attempt <= policy.max_retries:
                     continue
-                if policy.on_exhaust == "degrade":
-                    yield unit_id, spec, UnitFailure(
-                        shard=_shard_of(spec, unit_id), attempts=attempt,
-                        kind="exception", error=traceback.format_exc())
-                    break
-                raise ShardExecutionError(
-                    _shard_of(spec, unit_id),
-                    traceback.format_exc()) from error
+                if policy.on_exhaust == "fail":
+                    raise ShardExecutionError(
+                        _shard_of(spec, unit_id),
+                        traceback.format_exc()) from error
+                result = UnitFailure(
+                    shard=_shard_of(spec, unit_id), attempts=attempt,
+                    kind="exception", error=traceback.format_exc())
             yield unit_id, spec, result
             break
-
-
-def imap_shard_units(worker, specs, jobs: int | None,
-                     policy: RetryPolicy | None = None):
-    """Yield ``(unit_id, spec, worker(spec))`` as units *complete*.
-
-    The work-stealing dispatcher: every spec becomes one deterministic
-    work unit ``(unit_id, worker, spec)``, dispatched to the persistent
-    pool via ``imap_unordered`` with chunk size 1 — a free worker steals
-    the next pending unit the moment it finishes its previous one, so a
-    slow unit never idles the other processes the way one coarse task
-    per worker would.  Unit ids let callers re-assemble results into
-    spec order (:func:`map_shards`), which keeps merged reports
-    byte-identical to serial runs regardless of completion order.
-
-    Failure semantics: a worker exception travels back as a value,
-    is re-raised here as :class:`ShardExecutionError` naming the failing
-    shard, and the persistent pool is terminated *first* — promptly,
-    without joining still-running siblings.  Interrupts and abandoned
-    generators tear the pool down the same way.  ``jobs=None``/``<=1``
-    runs the units inline, where exceptions propagate raw (with their
-    original tracebacks).  ``worker`` and every spec must be picklable.
-
-    A :class:`RetryPolicy` switches to the resilient dispatcher: the
-    watchdog fleet (:class:`_WorkerFleet`) when running multi-process
-    or when ``policy.isolate`` demands worker processes, else in-process
-    retries.  Under a policy, yielded results may be
-    :class:`UnitFailure` markers (``on_exhaust="degrade"``).
-    """
-    if policy is not None:
-        jobs = 1 if jobs is None else max(1, min(jobs, len(specs)))
-        if jobs > 1 or policy.isolate:
-            yield from _imap_resilient(worker, specs, jobs, policy)
-        else:
-            yield from _imap_inline_resilient(worker, specs, policy)
-        return
-    jobs = 1 if jobs is None else min(jobs, len(specs))
-    if jobs <= 1 or len(specs) <= 1:
-        for unit_id, spec in enumerate(specs):
-            yield unit_id, spec, worker(spec)
-        return
-    payloads = [(unit_id, worker, spec) for unit_id, spec in enumerate(specs)]
-    pool = _get_pool(jobs)
-    try:
-        for unit_id, ok, result in pool.imap_unordered(_run_unit, payloads):
-            if not ok:
-                raise ShardExecutionError(
-                    _shard_of(specs[unit_id], unit_id), result
-                )
-            yield unit_id, specs[unit_id], result
-    except BaseException:
-        # Worker failure, KeyboardInterrupt, or an abandoned generator
-        # (GeneratorExit): kill outstanding units now; the next call
-        # builds a fresh pool.
-        shutdown_pool()
-        raise
 
 
 def imap_shards(worker, specs, jobs: int | None,
@@ -732,8 +594,9 @@ def map_shards(worker, specs, jobs: int | None):
 
     Results are re-assembled by unit id into spec order, so downstream
     merges are deterministic regardless of which worker finishes first.
-    ``worker`` and every spec must be picklable (module-level function,
-    plain-data spec).
+    A failing unit raises :class:`ShardExecutionError`.  ``worker`` and
+    every spec must be picklable (module-level function, plain-data
+    spec).
     """
     results = [None] * len(specs)
     for unit_id, _spec, result in imap_shard_units(worker, specs, jobs):
@@ -821,57 +684,45 @@ def merge_reports(reports: list[CampaignReport]) -> CampaignReport:
 # Sharded runners
 # ----------------------------------------------------------------------
 
+def run_shards(specure: Specure, shards: int, jobs: int | None,
+               **budget) -> CampaignReport:
+    """Run ``shards`` campaigns of ``specure``'s configuration, shard
+    ``k`` at :func:`shard_seed` ``(specure.seed, k)``, and merge them.
+
+    ``budget`` holds the :class:`~repro.scenarios.runner.ShardTask`
+    fields that bound each shard (``iterations``, ``seconds``,
+    ``stop_kind``).
+    """
+    from repro.scenarios.runner import ShardTask, _execute_shard
+
+    if shards < 1:
+        raise ValueError("shards must be >= 1")
+    tasks = [ShardTask.of(specure, shard, **budget)
+             for shard in range(shards)]
+    results = map_shards(_execute_shard, tasks, jobs)
+    return merge_reports([report for report, _corpus in results])
+
+
 def run_sharded_campaign(
     config,
     iterations_per_shard: int,
     shards: int = 2,
     jobs: int | None = None,
     base_seed: int = 0,
-    coverage: str = "lp",
-    monitor_dcache: bool = False,
-    use_special_seeds: bool = True,
-    random_seed_count: int = 4,
-    splice_probability: float = 0.15,
-    mutation_rounds: int = 3,
-    detector: str = "ift",
-    contract: str = "ct-seq",
-    inputs_per_class: int = 3,
-    max_spec_window: int = 16,
-    instruction_categories: tuple[str, ...] = (),
-    static_prune: bool = False,
     stop_kind: str | None = None,
+    **knobs,
 ) -> CampaignReport:
     """Run ``shards`` independent campaigns and merge their reports.
 
     Each shard is a full serial campaign at its :func:`shard_seed`;
     ``jobs`` bounds the number of concurrent worker processes
-    (``None``/1 = inline).
+    (``None``/1 = inline).  ``knobs`` are :class:`Specure` keyword
+    arguments (:attr:`Specure.KNOBS`), checked here before any shard
+    runs.
     """
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    specs = [
-        ShardSpec(
-            shard=shard,
-            config=config,
-            seed=shard_seed(base_seed, shard),
-            coverage=coverage,
-            iterations=iterations_per_shard,
-            monitor_dcache=monitor_dcache,
-            use_special_seeds=use_special_seeds,
-            random_seed_count=random_seed_count,
-            splice_probability=splice_probability,
-            mutation_rounds=mutation_rounds,
-            detector=detector,
-            contract=contract,
-            inputs_per_class=inputs_per_class,
-            max_spec_window=max_spec_window,
-            instruction_categories=tuple(instruction_categories),
-            static_prune=static_prune,
-            stop_kind=stop_kind,
-        )
-        for shard in range(shards)
-    ]
-    return merge_reports(map_shards(_run_shard, specs, jobs))
+    specure = Specure(config, seed=base_seed, **knobs)
+    return run_shards(specure, shards, jobs,
+                      iterations=iterations_per_shard, stop_kind=stop_kind)
 
 
 def run_sharded_timed_campaign(
@@ -891,15 +742,6 @@ def run_sharded_timed_campaign(
     """
     if seconds <= 0:
         raise ValueError("seconds must be positive")
-    specs = [
-        ShardSpec(
-            shard=shard,
-            config=config,
-            seed=shard_seed(base_seed, shard),
-            coverage=coverage,
-            seconds=seconds,
-            monitor_dcache=monitor_dcache,
-        )
-        for shard in range(shards)
-    ]
-    return merge_reports(map_shards(_run_shard, specs, jobs))
+    specure = Specure(config, seed=base_seed, coverage=coverage,
+                      monitor_dcache=monitor_dcache)
+    return run_shards(specure, shards, jobs, seconds=seconds)

@@ -562,23 +562,18 @@ def run_scaling_bench(
     """Measure executor scaling on a timed sharded campaign.
 
     For each jobs count, runs ``shards`` wall-clock-budgeted shards of
-    the scenario through the persistent pool and records the campaign's
-    total wall time.  A small warm-up run per multi-process jobs count
-    pays the one-time pool fork and per-worker statics (netlist +
-    offline phase) *outside* the measurement, mirroring steady-state
-    campaign service.  Separately, a fixed-iteration run of the same
-    scenario at the smallest and largest jobs counts pins byte-identical
-    merged reports (``deterministic``).
+    the scenario through the shard executor — inline at ``jobs=1``, on
+    the worker fleet otherwise — and records the campaign's total wall
+    time.  A small warm-up run per jobs count pays the one-time fleet
+    fork and per-worker statics (netlist + offline phase) *outside* the
+    measurement, mirroring steady-state campaign service.  Separately,
+    a fixed-iteration run of the same scenario at the smallest and
+    largest jobs counts pins byte-identical merged reports
+    (``deterministic``).
     """
     import time
 
-    from repro.harness.parallel import (
-        ShardSpec,
-        _run_shard,
-        map_shards,
-        merge_reports,
-        shard_seed,
-    )
+    from repro.harness.parallel import run_shards
 
     if shards < 1:
         raise BenchError("shards must be >= 1")
@@ -587,30 +582,7 @@ def run_scaling_bench(
     if not jobs_list:
         raise BenchError("jobs_list must name at least one jobs count")
     spec = _load_spec(scenario)
-    config = spec.build_config()
-
-    def shard_specs(seconds=None, iterations=0):
-        return [
-            ShardSpec(
-                shard=shard,
-                config=config,
-                seed=shard_seed(spec.seed, shard),
-                coverage=spec.coverage,
-                iterations=iterations,
-                seconds=seconds,
-                monitor_dcache=spec.monitor_dcache,
-                use_special_seeds=spec.use_special_seeds,
-                random_seed_count=spec.random_seed_count,
-                splice_probability=spec.splice_probability,
-                mutation_rounds=spec.mutation_rounds,
-                detector=spec.detector,
-                contract=spec.effective_contract(),
-                inputs_per_class=spec.inputs_per_class,
-                max_spec_window=spec.max_spec_window,
-                instruction_categories=spec.instruction_categories,
-            )
-            for shard in range(shards)
-        ]
+    specure = spec.build_specure()
 
     wall_seconds: dict[int, float] = {}
     iterations_done: dict[int, int] = {}
@@ -618,14 +590,14 @@ def run_scaling_bench(
         if jobs < 1:
             raise BenchError("every jobs count must be >= 1")
         # Pay the one-time costs off the clock for *every* jobs count —
-        # pool fork + per-worker statics when pooled, in-process statics
-        # (netlist + offline phase) when inline — so the speedup
+        # fleet fork + per-worker statics when multi-process, in-process
+        # statics (netlist + offline phase) when inline — so the speedup
         # compares steady-state executors, not cold-start asymmetry.
-        map_shards(_run_shard, shard_specs(seconds=0.05), jobs)
+        run_shards(specure, shards, jobs, seconds=0.05)
         started = time.perf_counter()
-        reports = map_shards(_run_shard, shard_specs(seconds=budget_s), jobs)
+        merged = run_shards(specure, shards, jobs, seconds=budget_s)
         wall_seconds[jobs] = time.perf_counter() - started
-        iterations_done[jobs] = sum(r.fuzz.iterations for r in reports)
+        iterations_done[jobs] = merged.fuzz.iterations
 
     speedup = None
     slowest = min(jobs_list)
@@ -635,13 +607,9 @@ def run_scaling_bench(
 
     # Determinism: fixed-iteration merged reports must not depend on the
     # jobs count (completion order is reassembled by unit id).
-    low = merge_reports(
-        map_shards(_run_shard, shard_specs(iterations=check_iterations),
-                   slowest)
-    )
-    high = merge_reports(
-        map_shards(_run_shard, shard_specs(iterations=check_iterations),
-                   fastest)
+    low, high = (
+        run_shards(specure, shards, jobs, iterations=check_iterations)
+        for jobs in (slowest, fastest)
     )
     deterministic = (
         low.render(include_timings=False) == high.render(include_timings=False)

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -50,6 +51,7 @@ from repro import faultinject, telemetry
 from repro.core.offline import OfflineArtifacts
 from repro.core.online import OnlinePhase
 from repro.core.report import CampaignReport
+from repro.core.specure import Specure, stop_on_kind
 from repro.fuzz.crash import CRASH_KIND, crash_report
 from repro.fuzz.fuzzer import FuzzFinding, FuzzObserver
 from repro.fuzz.input import TestProgram
@@ -125,41 +127,73 @@ class ReplayResult:
     detector: str = "ift"
 
 
+#: The iteration cap of a shard with a wall-clock budget: a backstop,
+#: the deadline does the real work.
+_TIMED_ITERATION_CAP = 10_000_000
+
+
 @dataclass(frozen=True)
 class ShardTask:
     """One shard's picklable work order for :func:`_execute_shard`.
+
+    The shard's campaign is a :class:`Specure` for the PUT ``config``
+    with the ``knobs`` (keyed by :attr:`Specure.KNOBS`) at ``seed``; it
+    runs ``iterations`` fuzz rounds — or, with ``seconds``, until that
+    wall-clock budget passes — and stops early at its first
+    ``stop_kind`` finding.  ``name`` labels the shard's telemetry.
+    Build tasks with :meth:`of`, from the parent's :class:`Specure`.
 
     ``attempt`` counts executions of this unit (1 = first try); the
     resilient dispatcher re-stamps it via :meth:`with_attempt` so the
     shard's telemetry records which attempt produced its artifacts.
     """
 
-    spec: ScenarioSpec
+    config: object  # BoomConfig | RtlPutConfig (any Put configuration)
     shard: int
     seed: int
+    iterations: int = 0
+    knobs: dict = field(default_factory=dict)
+    stop_kind: str | None = None
+    seconds: float | None = None
+    name: str = ""
     telemetry_dir: str | None = None
     checkpoint_dir: str | None = None
     checkpoint_every: int = 0
     attempt: int = 1
 
+    @classmethod
+    def of(cls, specure: Specure, shard: int, **fields) -> "ShardTask":
+        """Shard ``shard`` of ``specure``'s campaign, at its
+        :func:`~repro.harness.parallel.shard_seed`."""
+        return cls(config=specure.config, shard=shard,
+                   seed=shard_seed(specure.seed, shard),
+                   knobs=specure.knobs(), **fields)
+
     def with_attempt(self, attempt: int) -> "ShardTask":
         return replace(self, attempt=attempt)
 
+    def stop_predicate(self):
+        """The shard's stop condition (or ``None``); a time budget
+        starts counting when this is called."""
+        kind = self.stop_kind
+        if self.seconds is None:
+            return None if kind is None else stop_on_kind(kind)
+        deadline = time.monotonic() + self.seconds
 
-def _as_task(task) -> ShardTask:
-    """Accept legacy ``(spec, shard, seed[, telemetry_dir])`` tuples."""
-    if isinstance(task, ShardTask):
-        return task
-    return ShardTask(
-        spec=task[0], shard=task[1], seed=task[2],
-        telemetry_dir=task[3] if len(task) > 3 else None,
-    )
+        def stop(findings) -> bool:
+            if time.monotonic() >= deadline:
+                return True
+            return kind is not None and any(f.kind == kind
+                                            for f in findings)
+
+        return stop
 
 
-def _shard_campaign(spec: ScenarioSpec, seed: int):
+def _shard_campaign(task: ShardTask):
     """Build one shard's campaign from the process's shared statics."""
-    core, offline = shared_statics(spec.build_config())
-    specure = spec.build_specure(seed=seed, core=core, offline=offline)
+    core, offline = shared_statics(task.config)
+    specure = Specure(core=core, offline=offline, seed=task.seed,
+                      **task.knobs)
     return specure.build_campaign()
 
 
@@ -204,8 +238,8 @@ def _run_shard_campaign(
     task: ShardTask, heartbeat: HeartbeatWriter | None,
 ) -> tuple[CampaignReport, list[tuple[TestProgram, int]]]:
     """Build, (checkpoint-)resume, and run one shard's campaign."""
-    spec = task.spec
-    campaign = _shard_campaign(spec, task.seed)
+    stop_when = task.stop_predicate()
+    campaign = _shard_campaign(task)
     checkpointing = (task.checkpoint_dir is not None
                      and task.checkpoint_every > 0)
     start_iteration, resume_result = 0, None
@@ -225,9 +259,11 @@ def _run_shard_campaign(
                 checkpoint_record(task.shard, task.seed, next_iteration,
                                   campaign, result))
 
+    iterations = (task.iterations if task.seconds is None
+                  else _TIMED_ITERATION_CAP)
     report = campaign.run(
-        spec.iterations,
-        stop_when=spec.stop_predicate(),
+        iterations,
+        stop_when=stop_when,
         observer=_shard_observer(heartbeat, task.shard, task.telemetry_dir),
         checkpoint_every=task.checkpoint_every if checkpointing else 0,
         on_checkpoint=on_checkpoint,
@@ -237,8 +273,12 @@ def _run_shard_campaign(
     return report, _shard_corpus(campaign)
 
 
-def _execute_shard(task) -> tuple[CampaignReport, list[tuple[TestProgram, int]]]:
-    """One shard's full campaign (picklable pool worker).
+def _execute_shard(
+    task: ShardTask,
+) -> tuple[CampaignReport, list[tuple[TestProgram, int]]]:
+    """One shard's full campaign: the one shard worker every sharded
+    path — scenarios, ``Specure.sharded_campaign``, the
+    ``run_sharded_*`` runners and the scaling bench — dispatches.
 
     Returns the shard report plus the fuzzer's retained corpus entries,
     which only exist inside the campaign object and must surface here to
@@ -246,12 +286,10 @@ def _execute_shard(task) -> tuple[CampaignReport, list[tuple[TestProgram, int]]]
     executing process's shared statics — one netlist elaboration and one
     offline phase per process lifetime, not one per shard.
 
-    ``task`` is a :class:`ShardTask` (legacy ``(spec, shard, seed)``
-    tuples still work); with a ``telemetry_dir`` the shard streams a
+    With a ``telemetry_dir`` the shard streams a
     ``telemetry/shard-<k>.jsonl`` heartbeat log and dumps its
     spans/metrics into it on completion.
     """
-    task = _as_task(task)
     faultinject.set_context(task.shard)
     if task.telemetry_dir is not None:
         return _execute_shard_telemetry(task)
@@ -269,7 +307,7 @@ def _execute_shard_telemetry(
 ) -> tuple[CampaignReport, list[tuple[TestProgram, int]]]:
     """The telemetry-instrumented shard execution path.
 
-    A pooled worker process has no enabled recorder, so it enables a
+    A fleet worker process has no enabled recorder, so it enables a
     private one for the shard's duration; the inline path scopes the
     parent recorder with a window instead.  Either way the shard's
     spans and metrics end up *only* in its own ``shard-<k>.jsonl``
@@ -288,8 +326,8 @@ def _execute_shard_telemetry(
             with recorder.span(f"shard/{task.shard}"):
                 heartbeat = HeartbeatWriter(task.telemetry_dir, task.shard)
                 meta = dict(
-                    scenario=task.spec.name, seed=task.seed,
-                    iterations=task.spec.iterations, pid=os.getpid(),
+                    scenario=task.name, seed=task.seed,
+                    iterations=task.iterations, pid=os.getpid(),
                 )
                 if task.attempt > 1:
                     meta["attempt"] = task.attempt
@@ -541,16 +579,13 @@ def _drive_campaign(
         return ScenarioOutcome(spec=spec, offline=offline, report=None,
                                store=store)
 
-    seeds = {
-        shard: shard_seed(spec.seed, shard)
-        for shard in range(spec.shards)
-    }
     checkpoint_dir = None
     if store is not None and spec.checkpoint_every > 0:
         checkpoint_dir = str(store.checkpoint_dir(create=True))
     tasks = [
-        ShardTask(
-            spec=spec, shard=shard, seed=seeds[shard],
+        ShardTask.of(
+            specure, shard, iterations=spec.iterations,
+            stop_kind=spec.stop_kind, name=spec.name,
             telemetry_dir=telemetry_dir,
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=spec.checkpoint_every,
@@ -572,7 +607,7 @@ def _drive_campaign(
                 failures[shard] = result
                 if store is not None:
                     store.record_quarantine(
-                        shard, seeds[shard], result.attempts,
+                        shard, task.seed, result.attempts,
                         result.kind, result.summary())
                 continue
             report, corpus = result
@@ -582,7 +617,7 @@ def _drive_campaign(
                     if minimize and report.fuzz.findings else {}
                 )
                 with recorder.span("store/persist"):
-                    store.record_shard(shard, seeds[shard], report,
+                    store.record_shard(shard, task.seed, report,
                                        corpus_entries=corpus,
                                        minimized=minimized)
                 # The shard's artifacts supersede its checkpoint.
@@ -599,7 +634,7 @@ def _drive_campaign(
         if store is not None:
             store.set_status(STATUS_INTERRUPTED)
         raise
-    executed.sort()  # completion order varies under the unordered pool
+    executed.sort()  # completion order varies across fleet workers
     quarantined = [failures[shard] for shard in sorted(failures)]
 
     # Offline artifacts for store-loaded shards: reuse a fresh shard's

@@ -569,36 +569,15 @@ class ScenarioSpec:
             )
         return config
 
-    def build_specure(self, seed: int | None = None, core=None, offline=None):
-        """A :class:`~repro.core.specure.Specure` wired per this spec.
-
-        ``seed`` overrides the spec's base seed (shard workers pass the
-        derived per-shard seed); ``core``/``offline`` inject prebuilt
-        shared statics (see
-        :func:`repro.harness.parallel.shared_statics`) so pooled workers
-        skip re-elaborating the netlist and re-running the offline phase
-        per shard.
-        """
+    def build_specure(self, seed: int | None = None):
+        """A :class:`~repro.core.specure.Specure` wired per this spec;
+        ``seed`` overrides the spec's base seed."""
         from repro.core.specure import Specure
 
-        return Specure(
-            self.build_config() if core is None else None,
-            core=core,
-            offline=offline,
-            seed=self.seed if seed is None else seed,
-            coverage=self.coverage,
-            monitor_dcache=self.monitor_dcache,
-            use_special_seeds=self.use_special_seeds,
-            random_seed_count=self.random_seed_count,
-            splice_probability=self.splice_probability,
-            mutation_rounds=self.mutation_rounds,
-            detector=self.detector,
-            contract=self.effective_contract(),
-            inputs_per_class=self.inputs_per_class,
-            max_spec_window=self.max_spec_window,
-            instruction_categories=self.instruction_categories,
-            static_prune=self.static_prune,
-        )
+        knobs = {name: getattr(self, name) for name in Specure.KNOBS}
+        knobs["contract"] = self.effective_contract()
+        return Specure(self.build_config(),
+                       seed=self.seed if seed is None else seed, **knobs)
 
     def stop_predicate(self):
         """The stop condition as a findings predicate (or ``None``)."""

@@ -84,6 +84,30 @@ class TestOnlinePhaseDispatch:
         assert online.stats.contract_violations == 1
         assert [kind for kind, _ in findings] == ["contract_ct_seq"]
 
+    def test_variant_runs_count_as_simulation(self):
+        """The detector's variant hardware runs are PUT simulation: their
+        time lands in ``simulate_seconds``, not ``analysis_seconds``."""
+        import time
+
+        from repro.fuzz.seeds import mispredict_seed
+
+        pause = 0.2
+        specure = _specure(detector="contract")
+        real_run = specure.core.run
+
+        def slow_run(program):
+            time.sleep(pause)
+            return real_run(program)
+
+        specure.core.run = slow_run
+        online = specure.build_online()
+        online.evaluate(mispredict_seed())
+        stats = online.stats
+        assert stats.contract_runs == 2
+        # The base run plus both variants, each at least one pause.
+        assert stats.simulate_seconds >= 3 * pause
+        assert 0 <= stats.analysis_seconds < 2 * pause
+
     def test_cross_validation_campaign(self):
         # A short both-mode campaign over the special seeds: iteration 0
         # (mispredict) is flagged by both detectors, iteration 1 (the

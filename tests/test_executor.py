@@ -1,14 +1,16 @@
-"""The persistent work-stealing executor: dispatch, reuse, failure.
+"""The shard executor: dispatch, fleet reuse, failure.
 
 Covers the executor semantics the campaign layers rely on:
 
 * results re-assemble by unit id into spec order whatever the
   completion order (byte-identical merges are pinned end-to-end by
   the scenario/bench tests);
-* the pool persists across calls and per-process statics are shared;
-* a worker exception surfaces as :class:`ShardExecutionError` naming
-  the failing shard, with the pool torn down promptly;
-* the inline (jobs<=1) path propagates raw exceptions.
+* the worker fleet persists across calls, is rebuilt when ``jobs``
+  changes, and per-process statics are shared;
+* a unit exception surfaces as :class:`ShardExecutionError` naming the
+  failing shard at every jobs count — with the fleet torn down
+  promptly, or inline with the original exception as ``__cause__``;
+* zero units never start a fleet.
 """
 
 import time
@@ -17,6 +19,7 @@ import pytest
 
 from repro.harness import parallel
 from repro.harness.parallel import (
+    RetryPolicy,
     ShardExecutionError,
     imap_shard_units,
     imap_shards,
@@ -43,7 +46,7 @@ def _failing_worker(item):
 
 
 class _ShardLike:
-    """Work item carrying an explicit shard id (like ShardSpec)."""
+    """Work item carrying an explicit shard id (like ShardTask)."""
 
     def __init__(self, shard):
         self.shard = shard
@@ -71,7 +74,7 @@ class TestDispatch:
                            (3, ("done", 3))]
 
     def test_map_shards_reassembles_by_unit_id(self):
-        # Unit 0 is the slowest; imap_unordered completes it last, but
+        # Unit 0 is the slowest; the fleet completes it last, but
         # map_shards must still return spec order.
         assert map_shards(_sleepy_worker, [0, 1, 2, 3], jobs=4) == \
             [0, 10, 20, 30]
@@ -86,17 +89,39 @@ class TestDispatch:
 
     def test_pool_persists_across_calls(self):
         map_shards(_echo_worker, [1, 2], jobs=2)
-        first = parallel._POOL
+        first = parallel._FLEET
         assert first is not None
+        pids = [worker.process.pid for worker in first.workers]
         map_shards(_echo_worker, [3, 4], jobs=2)
-        assert parallel._POOL is first  # same pool object, no refork
+        assert parallel._FLEET is first  # same fleet object, no refork
+        assert [worker.process.pid for worker in first.workers] == pids
 
     def test_pool_rebuilds_when_jobs_change(self):
         map_shards(_echo_worker, [1, 2], jobs=2)
-        first = parallel._POOL
+        first = parallel._FLEET
         map_shards(_echo_worker, [1, 2, 3], jobs=3)
-        assert parallel._POOL is not first
-        assert parallel._POOL_JOBS == 3
+        assert parallel._FLEET is not first
+        assert parallel._FLEET.jobs == 3
+        assert not first.workers  # the old fleet was shut down
+
+    def test_inline_run_starts_no_fleet(self):
+        assert map_shards(_echo_worker, [1, 2], jobs=1) == \
+            [("done", 1), ("done", 2)]
+        assert parallel._FLEET is None
+
+    def test_zero_units_never_start_a_fleet(self):
+        # `resume` of a completed run with the watchdog or a chaos plan
+        # armed dispatches no units under an isolating policy.
+        policy = RetryPolicy(isolate=True)
+        assert list(imap_shard_units(_echo_worker, [], 2, policy)) == []
+        assert parallel._FLEET is None
+
+    def test_zero_units_keep_the_running_fleet(self):
+        map_shards(_echo_worker, [1, 2], jobs=2)
+        fleet = parallel._FLEET
+        policy = RetryPolicy(isolate=True)
+        assert list(imap_shard_units(_echo_worker, [], 2, policy)) == []
+        assert parallel._FLEET is fleet and fleet.jobs == 2
 
 
 class TestFailure:
@@ -111,7 +136,7 @@ class TestFailure:
     def test_pool_is_torn_down_promptly_on_failure(self):
         with pytest.raises(ShardExecutionError):
             map_shards(_failing_worker, [0, 1, 2, 3], jobs=2)
-        assert parallel._POOL is None  # terminated, not left joining
+        assert parallel._FLEET is None  # shut down, not left running
 
     def test_plain_items_fall_back_to_unit_index(self):
         with pytest.raises(ShardExecutionError) as excinfo:
@@ -120,14 +145,23 @@ class TestFailure:
         assert "boom on 3" in excinfo.value.worker_traceback
 
     def test_inline_failures_propagate_raw(self):
-        with pytest.raises(RuntimeError, match="boom on 3"):
+        """Inline failures keep the one failure contract, and the
+        original exception travels along as the cause."""
+        with pytest.raises(ShardExecutionError) as excinfo:
             map_shards(_failing_worker, [3], jobs=1)
+        assert excinfo.value.shard == 0
+        cause = excinfo.value.__cause__
+        assert isinstance(cause, RuntimeError)
+        assert str(cause) == "boom on 3"
+        assert "boom on 3" in excinfo.value.worker_traceback
 
     def test_next_call_after_failure_gets_a_fresh_pool(self):
         with pytest.raises(ShardExecutionError):
             map_shards(_failing_worker, [2, 3], jobs=2)
+        assert parallel._FLEET is None
         assert map_shards(_echo_worker, [1, 2], jobs=2) == \
             [("done", 1), ("done", 2)]
+        assert parallel._FLEET is not None
 
 
 class TestSharedStatics:
@@ -155,11 +189,17 @@ class TestSharedStatics:
         be byte-identical — engine reuse across campaigns is exact."""
         from repro.boom.config import BoomConfig
         from repro.boom.vulns import VulnConfig
-        from repro.harness.parallel import shared_specure
+        from repro.core.specure import Specure
 
         config = BoomConfig.small(VulnConfig.all())
-        first = shared_specure(config, seed=11, monitor_dcache=True)
-        second = shared_specure(config, seed=11, monitor_dcache=True)
+
+        def shared_specure():
+            core, offline = shared_statics(config)
+            return Specure(core=core, offline=offline, seed=11,
+                           monitor_dcache=True)
+
+        first = shared_specure()
+        second = shared_specure()
         assert first.core is second.core
         report_a = first.campaign(5)
         report_b = second.campaign(5)
@@ -191,7 +231,7 @@ class TestScenarioRunnerIntegration:
         calls = []
 
         def tracking_imap(worker, specs, jobs, policy=None):
-            # Run inline but route errors the pooled way.
+            # Run inline but route errors the way the executor does.
             for unit_id, task in enumerate(specs):
                 calls.append(task.shard)
                 try:

@@ -13,7 +13,6 @@ from repro.harness.campaign import (
     run_detection_campaign,
 )
 from repro.harness.parallel import (
-    ShardSpec,
     merge_campaign_results,
     merge_reports,
     run_sharded_campaign,
@@ -253,5 +252,72 @@ class TestShardedCampaigns:
     def test_shard_spec_is_picklable(self, config):
         import pickle
 
-        spec = ShardSpec(shard=1, config=config, seed=9)
-        assert pickle.loads(pickle.dumps(spec)).seed == 9
+        from repro.core.specure import Specure
+        from repro.scenarios.runner import ShardTask
+
+        task = ShardTask.of(Specure(config, seed=9, random_seed_count=2),
+                            1, iterations=3)
+        clone = pickle.loads(pickle.dumps(task))
+        assert clone == task
+        assert clone.seed == shard_seed(9, 1)
+        assert clone.knobs["random_seed_count"] == 2
+
+
+#: One non-default value per Specure knob, with the companion knobs
+#: that make it observable within ``_GUARD_ITERATIONS`` (the contract
+#: knobs act only under a contract detector; the mutation knobs only
+#: once the special seeds stop leading the corpus).
+_KNOB_VALUES = {
+    "coverage": ("code", {}),
+    "monitor_dcache": (True, {}),
+    "use_special_seeds": (False, {}),
+    "random_seed_count": (1, {"use_special_seeds": False}),
+    "splice_probability": (1.0, {"use_special_seeds": False}),
+    "mutation_rounds": (1, {"use_special_seeds": False}),
+    "detector": ("both", {}),
+    "contract": ("ct-cond", {"detector": "contract"}),
+    "inputs_per_class": (4, {"detector": "contract"}),
+    "max_spec_window": (2, {"detector": "contract", "contract": "ct-cond"}),
+    "instruction_categories": (("alu", "branch", "load"), {}),
+    "static_prune": (True, {}),
+}
+_GUARD_ITERATIONS = 10
+
+
+class TestKnobForwarding:
+    """Every knob reaches the shard worker through the ShardTask."""
+
+    @pytest.fixture(scope="class")
+    def config(self):
+        return BoomConfig.small(VulnConfig.all())
+
+    def test_knob_list_is_the_constructor(self):
+        import inspect
+
+        from repro.core.specure import Specure
+        from repro.scenarios.spec import ScenarioSpec
+
+        params = set(inspect.signature(Specure).parameters)
+        assert set(Specure.KNOBS) == \
+            params - {"config", "seed", "core", "offline"}
+        assert set(_KNOB_VALUES) == set(Specure.KNOBS)
+        assert set(Specure.KNOBS) <= set(ScenarioSpec.__dataclass_fields__)
+
+    @pytest.mark.parametrize("knob", sorted(_KNOB_VALUES))
+    def test_one_shard_renders_the_serial_report(self, config, knob):
+        from repro.core.specure import Specure
+
+        value, companions = _KNOB_VALUES[knob]
+
+        def render(report):
+            return (report.render(include_timings=False),
+                    report.fuzz.coverage_curve, report.stats.cycles)
+
+        specure = Specure(config, seed=5, **companions, **{knob: value})
+        serial = render(specure.campaign(_GUARD_ITERATIONS))
+        sharded = render(specure.sharded_campaign(
+            _GUARD_ITERATIONS, shards=1, jobs=1))
+        default = render(
+            Specure(config, seed=5, **companions).campaign(_GUARD_ITERATIONS))
+        assert serial != default, f"{knob}={value!r} changes nothing here"
+        assert sharded == serial

@@ -32,7 +32,6 @@ from repro.harness.parallel import (
     ShardExecutionError,
     UnitFailure,
     imap_shard_units,
-    shutdown_fleet,
     shutdown_pool,
 )
 
@@ -78,7 +77,7 @@ def _hang_worker(item):
 @pytest.fixture(autouse=True)
 def _clean_executors():
     yield
-    shutdown_pool()  # shuts the fleet down too
+    shutdown_pool()
 
 
 # -- retry policy + failure markers ----------------------------------------
@@ -187,7 +186,7 @@ class TestFleet:
         from repro.scenarios.runner import ShardTask
 
         assert parallel._stamp_attempt("plain", 2) == "plain"
-        task = ShardTask(spec=None, shard=4, seed=9)
+        task = ShardTask(config=None, shard=4, seed=9, iterations=1)
         assert parallel._stamp_attempt(task, 1) is task
         assert parallel._stamp_attempt(task, 3).attempt == 3
 

@@ -12,7 +12,7 @@ from repro.scenarios import (
     resume_scenario,
     run_scenario,
 )
-from repro.scenarios.runner import _execute_shard
+from repro.scenarios.runner import ShardTask, _execute_shard
 from repro.scenarios.store import (
     STATUS_COMPLETE,
     STATUS_INTERRUPTED,
@@ -58,7 +58,9 @@ class TestProgramRoundTrip:
 
 class TestShardReportRoundTrip:
     def test_report_survives_json(self, sweep_spec):
-        report, _corpus = _execute_shard((sweep_spec, 0, sweep_spec.seed))
+        task = ShardTask.of(sweep_spec.build_specure(), 0,
+                            iterations=sweep_spec.iterations)
+        report, _corpus = _execute_shard(task)
         payload = json.loads(json.dumps(
             shard_report_to_dict(0, sweep_spec.seed, report)
         ))

@@ -95,7 +95,7 @@ def test_e9_trace_query_fastpath(vuln_core):
     signal only) — so the examination *count* bound vs the seed's shared
     single pass is strict rather than FASTPATH_FACTOR-fold on a small
     single-window trace like this one.  The wall-clock multiplier of the
-    columnar passes is pinned by the bench gate (``BENCH_pr5.json``),
+    columnar passes is pinned by the bench suite (``BENCH.json``),
     not by this operation count."""
     program = all_triggers()["spectre_v1"]
     result = vuln_core.run(program)

@@ -31,12 +31,10 @@ Subcommands:
 ``replay <dir>``
     Re-confirm every stored finding by running its (minimized) trigger
     program once — a regression check with no fuzzing.
-``bench``
-    Measure the per-iteration hot path of one or more scenarios
-    (default: quickstart) under a fixed iteration or wall-clock budget;
-    emits ``BENCH_pr3.json`` (fresh numbers next to the committed
-    pre-PR baseline) and, with ``--check``, gates against the artifact
-    committed in the repository.
+``bench [PROTOCOL ...]``
+    Run the bench suite of pinned hot-path protocols (or the named
+    ones); ``--check`` gates them against the history in ``BENCH.json``,
+    ``--record`` appends this run to it, and ``--list`` prints it.
 ``selfcheck``
     The original one-command smoke test (also the default with no
     arguments): offline phase + all four studied vulnerabilities +
@@ -294,195 +292,41 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.perf import (
+        BENCH_PATH,
+        SUITE,
         BenchError,
-        baseline_for,
         check_regression,
-        check_scaling,
-        emit_bench,
         load_bench,
-        parse_scenario_request,
-        render_bench,
+        measure,
+        record_bench,
         render_bench_list,
-        render_scaling,
-        run_bench,
-        run_scaling_bench,
     )
 
-    if args.list:
-        print(render_bench_list())
-        return 0
-
-    # Read the committed gate numbers *before* --out overwrites them.
-    committed = None
-    if args.check:
-        gate_path = args.gate or args.out
-        if not Path(gate_path).exists():
-            print(f"error: no committed bench artifact at {gate_path} "
-                  f"to gate against", file=sys.stderr)
-            return 2
-        try:
-            committed = load_bench(gate_path)
-        except BenchError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        if str(gate_path) == str(args.out):
-            print(f"note: --out will overwrite the gate file {gate_path} "
-                  f"with this run's numbers (git checkout restores the "
-                  f"committed baseline)")
-
-    if args.telemetry_overhead:
-        return _bench_telemetry_overhead(args, committed)
-    if args.checkpoint_overhead:
-        return _bench_checkpoint_overhead(args, committed)
-
     try:
+        if args.list:
+            print(render_bench_list(load_bench()))
+            return 0
+        history = load_bench() if args.check else {}
         results = []
-        for request in (args.scenario or ["quickstart"]):
-            name, pinned = parse_scenario_request(request)
-            results.append(run_bench(
-                name,
-                budget_s=None if pinned is not None else args.budget_s,
-                iterations=pinned if pinned is not None else args.iterations,
-            ))
-        scaling = None
-        if args.scaling_jobs:
-            jobs_list = tuple(sorted({1, *args.scaling_jobs}))
-            scaling = run_scaling_bench(
-                scenario=args.scaling_scenario,
-                shards=args.scaling_shards,
-                budget_s=args.scaling_budget_s,
-                jobs_list=jobs_list,
-            )
+        for key in args.protocols or SUITE:
+            results.append(measure(key))
+            print(results[-1].summary(), flush=True)
     except BenchError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-
-    baseline = baseline_for(args.out)
-    print(render_bench(results, baseline=baseline))
-    if scaling is not None:
-        print()
-        print(render_scaling(scaling))
-    emit_bench(results, path=args.out, baseline=baseline, scaling=scaling)
-    print(f"(bench artifact written to {args.out})")
-
-    failures = []
-    if committed is not None:
-        failures.extend(check_regression(results, committed,
-                                         max_regression=args.max_regression))
-    if scaling is not None:
-        failures.extend(check_scaling(scaling,
-                                      min_speedup=args.min_scaling))
+    if args.record:
+        record_bench(results)
+        print(f"({len(results)} entries appended to {BENCH_PATH})")
+    if not args.check:
+        return 0
+    failures = check_regression(results, history)
+    for line in failures:
+        print(f"REGRESSION: {line}", file=sys.stderr)
     if failures:
-        for line in failures:
-            print(f"REGRESSION: {line}", file=sys.stderr)
         return 1
-    if committed is not None:
-        print(f"regression gate passed (max allowed "
-              f"{args.max_regression:.0%} below committed numbers)")
-    if scaling is not None:
-        if scaling.speedup is not None:
-            print(f"scaling gate passed (jobs={max(scaling.wall_seconds)} "
-                  f"at {scaling.speedup:.2f}x >= {args.min_scaling:.2f}x, "
-                  f"deterministic merges)")
-        else:
-            print("scaling entry recorded (single jobs count — no "
-                  "speedup to gate; deterministic merges checked)")
-    return 0
-
-
-def _bench_telemetry_overhead(args: argparse.Namespace, committed) -> int:
-    """``bench --telemetry-overhead``: pinned protocol, off vs on."""
-    from repro.perf import (
-        BenchError,
-        baseline_for,
-        check_regression,
-        check_telemetry_overhead,
-        emit_bench,
-        parse_scenario_request,
-        render_telemetry_overhead,
-        run_telemetry_overhead,
-    )
-
-    request = (args.scenario or ["quickstart"])[0]
-    try:
-        name, pinned = parse_scenario_request(request)
-        result = run_telemetry_overhead(
-            scenario=name,
-            iterations=pinned if pinned is not None else args.iterations,
-            repeats=args.repeats,
-        )
-    except BenchError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
-    print(render_telemetry_overhead(result))
-    baseline = baseline_for(args.out)
-    emit_bench([result.off, result.on], path=args.out, baseline=baseline,
-               extra={"telemetry_overhead": round(result.overhead, 4)})
-    print(f"(bench artifact written to {args.out})")
-
-    failures = check_telemetry_overhead(
-        result, max_overhead=args.max_telemetry_overhead)
-    if committed is not None:
-        failures.extend(check_regression([result.off, result.on], committed,
-                                         max_regression=args.max_regression))
-    if failures:
-        for line in failures:
-            print(f"REGRESSION: {line}", file=sys.stderr)
-        return 1
-    print(f"telemetry-overhead gate passed "
-          f"({result.overhead:+.1%} <= {args.max_telemetry_overhead:.0%})")
-    return 0
-
-
-def _bench_checkpoint_overhead(args: argparse.Namespace, committed) -> int:
-    """``bench --checkpoint-overhead``: pinned protocol, off vs on."""
-    from repro.perf import (
-        BenchError,
-        baseline_for,
-        check_checkpoint_overhead,
-        check_regression,
-        emit_bench,
-        parse_scenario_request,
-        render_checkpoint_overhead,
-        run_checkpoint_overhead,
-    )
-
-    request = (args.scenario or ["quickstart"])[0]
-    try:
-        name, pinned = parse_scenario_request(request)
-        result = run_checkpoint_overhead(
-            scenario=name,
-            iterations=pinned if pinned is not None else args.iterations,
-            repeats=args.repeats,
-            every=args.checkpoint_every,
-        )
-    except BenchError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
-    print(render_checkpoint_overhead(result))
-    baseline = baseline_for(args.out)
-    emit_bench([result.off, result.on], path=args.out, baseline=baseline,
-               extra={"checkpoint_overhead": round(result.overhead, 4),
-                      "checkpoint_every": result.every})
-    print(f"(bench artifact written to {args.out})")
-
-    failures = check_checkpoint_overhead(
-        result, max_overhead=args.max_checkpoint_overhead)
-    if committed is not None:
-        failures.extend(check_regression([result.off, result.on], committed,
-                                         max_regression=args.max_regression))
-    if failures:
-        for line in failures:
-            print(f"REGRESSION: {line}", file=sys.stderr)
-        return 1
-    print(f"checkpoint-overhead gate passed "
-          f"({result.overhead:+.1%} <= {args.max_checkpoint_overhead:.0%} "
-          f"at cadence {result.every})")
+    print(f"bench gate passed ({len(results)} protocols against "
+          f"{BENCH_PATH})")
     return 0
 
 
@@ -611,75 +455,20 @@ def main(argv: list[str] | None = None) -> int:
     analyze.set_defaults(handler=cmd_analyze)
 
     bench = commands.add_parser(
-        "bench", help="measure the per-iteration hot path of scenarios"
+        "bench", help="run the bench suite of pinned hot-path protocols"
     )
-    bench.add_argument("--list", action="store_true",
-                       help="list benchable scenarios with their "
-                            "protocols and committed baselines, then exit")
-    bench.add_argument("--scenario", action="append", metavar="NAME[@N]",
-                       help="scenario name or file, optionally with a "
-                            "pinned iteration budget (repeatable; "
-                            "default: quickstart)")
-    bench.add_argument("--scaling-jobs", action="append", type=int,
-                       metavar="N", default=None,
-                       help="also measure executor scaling at N worker "
-                            "processes vs jobs=1 on a timed sharded "
-                            "campaign (repeatable)")
-    bench.add_argument("--scaling-scenario", default="quickstart",
-                       metavar="NAME",
-                       help="scenario for the scaling entry "
-                            "(default: quickstart)")
-    bench.add_argument("--scaling-shards", type=int, default=4, metavar="K",
-                       help="timed shards in the scaling entry (default 4)")
-    bench.add_argument("--scaling-budget-s", type=float, default=2.0,
-                       metavar="S",
-                       help="per-shard wall-clock budget of the scaling "
-                            "entry (default 2.0)")
-    bench.add_argument("--min-scaling", type=float, default=1.2, metavar="R",
-                       help="fail unless the largest jobs count is at "
-                            "least this much faster than jobs=1 "
-                            "(default 1.2)")
-    budget = bench.add_mutually_exclusive_group()
-    budget.add_argument("--budget-s", type=float, default=None, metavar="S",
-                        help="wall-clock budget per scenario (seconds)")
-    budget.add_argument("--iterations", type=int, default=None, metavar="N",
-                        help="fixed iteration budget per scenario "
-                             "(default: the scenario's own)")
-    bench.add_argument("--out", default="BENCH_pr3.json", metavar="FILE",
-                       help="bench artifact path (default: BENCH_pr3.json)")
+    bench.add_argument("protocols", nargs="*", metavar="PROTOCOL",
+                       help="protocol keys such as quickstart@60it, "
+                            "quickstart@10s, quickstart@60it+telemetry or "
+                            "quickstart@2x2s-scaling (default: the suite)")
     bench.add_argument("--check", action="store_true",
-                       help="gate against the committed artifact "
-                            "(read from --gate before writing --out)")
-    bench.add_argument("--gate", default=None, metavar="FILE",
-                       help="committed artifact to gate against "
-                            "(default: the --out path)")
-    bench.add_argument("--max-regression", type=float, default=0.25,
-                       metavar="R",
-                       help="iters/sec may drop at most this fraction "
-                            "below the committed number (default 0.25)")
-    bench.add_argument("--telemetry-overhead", action="store_true",
-                       help="measure the pinned protocol with telemetry "
-                            "off vs on and fail if the overhead exceeds "
-                            "--max-telemetry-overhead")
-    bench.add_argument("--max-telemetry-overhead", type=float, default=0.03,
-                       metavar="R",
-                       help="allowed telemetry slowdown in "
-                            "--telemetry-overhead mode (default 0.03)")
-    bench.add_argument("--checkpoint-overhead", action="store_true",
-                       help="measure the pinned protocol with mid-shard "
-                            "checkpointing off vs on and fail if the "
-                            "overhead exceeds --max-checkpoint-overhead")
-    bench.add_argument("--max-checkpoint-overhead", type=float, default=0.03,
-                       metavar="R",
-                       help="allowed checkpointing slowdown in "
-                            "--checkpoint-overhead mode (default 0.03)")
-    bench.add_argument("--checkpoint-every", type=int, default=25,
-                       metavar="N",
-                       help="checkpoint cadence in --checkpoint-overhead "
-                            "mode (default 25, the scenario default)")
-    bench.add_argument("--repeats", type=int, default=3, metavar="N",
-                       help="best-of repeats per overhead mode "
-                            "(default 3)")
+                       help="gate against the history in BENCH.json "
+                            "(never writes it)")
+    bench.add_argument("--record", action="store_true",
+                       help="append this run's entries to BENCH.json")
+    bench.add_argument("--list", action="store_true",
+                       help="print the first and latest BENCH.json entry "
+                            "per protocol with its gate bounds, then exit")
     bench.set_defaults(handler=cmd_bench)
 
     resume = commands.add_parser(

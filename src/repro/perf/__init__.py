@@ -1,84 +1,39 @@
-"""Performance measurement for the reproduction's hot path.
-
-The ROADMAP's "as fast as the hardware allows" axis needs numbers
-before it needs opinions: this package benches named scenarios under
-fixed iteration or wall-clock budgets, measures executor scaling on
-timed sharded campaigns (:func:`run_scaling_bench`), emits the
-machine-readable ``BENCH_*.json`` artifacts (fresh results next to the
-committed pre-PR baselines), and provides the regression gates CI runs
-on every push.
-
-Entry points: ``python -m repro bench`` on the command line,
-:func:`run_bench`/:func:`run_scaling_bench`/:func:`emit_bench`/
-:func:`check_regression`/:func:`check_scaling` from code.
+"""Performance measurement for the reproduction's hot path: one bench
+suite of pinned protocols (:data:`SUITE`) gated against, and recorded
+into, one per-protocol history (``BENCH.json``).  Entry point:
+``python -m repro bench [PROTOCOL ...] [--check] [--record] [--list]``.
 """
 
-from repro.perf.baseline import (
-    BASELINES,
-    PR4_CONTRACT_BASELINE,
-    PR5_BASELINE,
-    PR6_RTL_BASELINE,
-    PRE_PR_BASELINE,
-)
 from repro.perf.bench import (
+    BENCH_PATH,
+    SUITE,
     BenchError,
     BenchResult,
-    CheckpointOverheadResult,
+    PairedResult,
     ScalingResult,
-    TelemetryOverheadResult,
-    baseline_entries,
-    baseline_for,
     check_regression,
-    check_checkpoint_overhead,
-    check_scaling,
-    check_telemetry_overhead,
-    emit_bench,
     load_bench,
-    parse_scenario_request,
-    peak_rss_kb,
-    render_bench,
+    measure,
+    record_bench,
     render_bench_list,
-    render_checkpoint_overhead,
-    render_scaling,
-    render_telemetry_overhead,
     run_bench,
-    run_checkpoint_overhead,
+    run_paired,
     run_scaling_bench,
-    run_telemetry_overhead,
-    speedup_vs_baseline,
-    speedups_vs_baseline,
 )
 
 __all__ = [
-    "BASELINES",
-    "PR4_CONTRACT_BASELINE",
-    "PR5_BASELINE",
-    "PR6_RTL_BASELINE",
-    "PRE_PR_BASELINE",
+    "BENCH_PATH",
+    "SUITE",
     "BenchError",
     "BenchResult",
-    "CheckpointOverheadResult",
+    "PairedResult",
     "ScalingResult",
-    "TelemetryOverheadResult",
-    "baseline_entries",
-    "baseline_for",
-    "check_checkpoint_overhead",
     "check_regression",
-    "check_scaling",
-    "check_telemetry_overhead",
-    "emit_bench",
     "load_bench",
-    "parse_scenario_request",
-    "peak_rss_kb",
-    "render_bench",
+    "measure",
+    "record_bench",
     "render_bench_list",
-    "render_checkpoint_overhead",
-    "render_scaling",
-    "render_telemetry_overhead",
     "run_bench",
-    "run_checkpoint_overhead",
+    "run_paired",
     "run_scaling_bench",
-    "run_telemetry_overhead",
-    "speedup_vs_baseline",
-    "speedups_vs_baseline",
 ]

@@ -1,69 +1,148 @@
-"""The campaign bench harness: named scenarios in, numbers out.
+"""The bench suite: pinned campaign protocols in, gated numbers out.
 
-One :func:`run_bench` call measures the per-iteration hot path of a
-scenario — :meth:`BoomCore.run <repro.boom.core.BoomCore.run>` → trace
-recording → coverage → detector — under a fixed iteration or wall-clock
-budget, and reports:
+A protocol key names one measurement:
 
-* **iterations/sec** — wall clock around the fuzzing loop only (the
-  one-time offline phase is excluded: campaigns amortise it);
-* **events-examined/iteration** — the trace layer's query telemetry,
-  a machine-independent proxy for analysis work per iteration;
-* **peak RSS** — the process high-water mark from ``getrusage``.
+* ``NAME@Nit`` — a serial campaign of scenario NAME for N iterations;
+* ``NAME@Ss`` — the same under a wall-clock budget of S seconds;
+* ``NAME@Nit+VARIANT`` — a paired measurement of the plain protocol
+  against its ``telemetry`` or ``checkpoint`` variant;
+* ``NAME@KxSs-scaling`` — K shards of S seconds each at jobs=1 and
+  jobs=K, plus a byte-identity check of the merged reports;
+* a bare ``NAME`` runs the scenario's own iteration budget.
 
-:func:`emit_bench` persists the results as ``BENCH_pr3.json`` together
-with the committed pre-PR baseline (:mod:`repro.perf.baseline`), so the
-before/after speedup travels with the artifact;
-:func:`check_regression` is the CI gate comparing a fresh run against
-the numbers committed in the repository.  The contract-detector hot
-path is gated through the same machinery: ``BENCH_pr4.json`` carries a
-fixed-protocol ``contract-ablation`` entry (relational testing under
-``ct-cond``, the most expensive clause), so a regression in the model
-run, the wrong-path simulator, or the trace collector trips CI exactly
-like one in the IFT path would.
+A serial measurement times the fuzzing loop only (the offline phase is
+paid off the clock) and reports **iterations/sec** and
+**events-examined/iteration**, the trace layer's query count: a
+machine-independent proxy for analysis work per iteration.
 
-The bench always measures a *serial* campaign at the scenario's seed:
-shard fan-out moves work across processes but leaves the per-iteration
-path untouched, and that path is what this harness pins.
+``BENCH.json`` keeps a per-key history of recorded entries.  The gate
+applies each bound to the strictest figure recorded for the key: the
+best iters/sec may drop at most :data:`MAX_REGRESSION`, and on
+fixed-iteration protocols the lowest events/iter may rise at most as
+much.  Paired variants must cost at most :data:`MAX_OVERHEAD`, and
+scaling protocols must reach :data:`MIN_SCALING` with byte-identical
+merges.  :func:`record_bench` is the only writer of the file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
-import resource
-import sys
+import re
+import statistics
+import tempfile
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
-from repro.perf.baseline import BASELINES, PRE_PR_BASELINE
 from repro.utils.text import ascii_table
+
+#: The pinned protocols ``python -m repro bench`` runs by default.
+SUITE = (
+    "quickstart@60it",
+    "quickstart@10s",
+    "contract-ablation@40it",
+    "spec-cpu-quickstart@120it",
+    "composed-clauses@40it",
+    "quickstart-pruned@60it",
+    "quickstart@60it+telemetry",
+    "quickstart@60it+checkpoint",
+    "quickstart@2x2s-scaling",
+)
+
+#: Allowed iters/sec drop below the best recorded figure, and allowed
+#: events/iter rise above the lowest one.
+MAX_REGRESSION = 0.25
+#: Allowed fractional slowdown of a paired variant over its plain run.
+MAX_OVERHEAD = 0.03
+#: Required jobs=K over jobs=1 wall-clock speedup of a scaling protocol.
+MIN_SCALING = 1.2
+#: Alternating off/on pairs per paired measurement.
+REPEATS = 5
+#: The per-protocol history, relative to the working directory.
+BENCH_PATH = Path("BENCH.json")
+
+VARIANTS = ("telemetry", "checkpoint")
 
 #: Iteration backstop for wall-clock budgets (the deadline does the work).
 _BUDGET_ITERATION_CAP = 10_000_000
 
+_NUMBER = r"\d+(?:\.\d+)?"
+_KEY = re.compile(
+    r"(?P<scenario>[^@+]+)"
+    r"(?:@(?:(?P<iterations>\d+)it"
+    rf"|(?P<shards>\d+)x(?P<shard_s>{_NUMBER})s-scaling"
+    rf"|(?P<budget_s>{_NUMBER})s))?"
+    r"(?:\+(?P<variant>\w+))?"
+)
+
 
 class BenchError(ValueError):
-    """A bench request that cannot be measured (or a failed gate)."""
+    """A bench request that cannot be measured, or an unreadable history."""
 
 
-def peak_rss_kb() -> int:
-    """Process peak resident set size in KiB (normalised per platform).
+class Protocol(NamedTuple):
+    """A parsed protocol key (see the module docstring)."""
 
-    ``ru_maxrss`` is a process-lifetime high-water mark: when several
-    scenarios bench in one process, every result after the first
-    reports at least the largest footprint seen so far.  Bench
-    scenarios in separate invocations when per-scenario RSS matters.
+    scenario: str
+    iterations: int | None = None
+    budget_s: float | None = None
+    variant: str = ""
+    shards: int = 0
+
+
+def parse_protocol(key: str) -> Protocol:
+    """Parse a protocol key; malformed keys raise :class:`BenchError`."""
+    match = _KEY.fullmatch(key)
+    if match is None:
+        raise BenchError(
+            f"invalid protocol {key!r}: expected NAME, NAME@Nit, NAME@Ss "
+            f"or NAME@KxSs-scaling, optionally +telemetry or +checkpoint "
+            f"(e.g. quickstart@60it+telemetry)"
+        )
+    fields = match.groupdict()
+    variant = fields["variant"] or ""
+    if variant and variant not in VARIANTS:
+        raise BenchError(f"invalid protocol {key!r}: unknown variant "
+                         f"{variant!r} (choose from {', '.join(VARIANTS)})")
+    if fields["shards"]:
+        shards = int(fields["shards"])
+        if variant or shards < 2:
+            raise BenchError(f"invalid protocol {key!r}: a scaling protocol "
+                             f"needs >= 2 shards and takes no variant")
+        return Protocol(fields["scenario"], budget_s=float(fields["shard_s"]),
+                        shards=shards)
+    return Protocol(
+        fields["scenario"],
+        iterations=int(fields["iterations"]) if fields["iterations"] else None,
+        budget_s=float(fields["budget_s"]) if fields["budget_s"] else None,
+        variant=variant,
+    )
+
+
+def gate_bounds(key: str, entries: list[dict]) -> tuple:
+    """The ``(iters/sec floor, events/iter ceiling)`` a key's recorded
+    entries impose; ``None`` where nothing is recorded to gate against.
+
+    Only fixed-iteration protocols get a ceiling: under a wall-clock
+    budget a faster runner completes more iterations, and events/iter
+    legitimately grows as a campaign progresses.
     """
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":  # ru_maxrss is bytes on macOS
-        peak //= 1024
-    return int(peak)
+    speeds = [entry["iters_per_sec"] for entry in entries
+              if "iters_per_sec" in entry]
+    events = [entry["events_examined_per_iter"] for entry in entries
+              if entry.get("events_examined_per_iter")]
+    floor = max(speeds) * (1.0 - MAX_REGRESSION) if speeds else None
+    ceiling = None
+    if events and parse_protocol(key).iterations is not None:
+        ceiling = min(events) * (1.0 + MAX_REGRESSION)
+    return floor, ceiling
 
 
 @dataclass(frozen=True)
 class BenchResult:
-    """One scenario's measured numbers."""
+    """One serial measurement of a scenario's per-iteration hot path."""
 
     scenario: str
     mode: str                # "iterations" | "budget_s"
@@ -77,83 +156,82 @@ class BenchResult:
     instructions: int
     coverage: int
     findings: int
-    peak_rss_kb: int
-    #: Measurement variant sharing the scenario's protocol — e.g.
-    #: ``"telemetry"`` for the instrumented side of the overhead gate.
-    #: Empty for the plain measurement (the default), keeping committed
-    #: artifact keys stable.
     variant: str = ""
 
     @property
     def key(self) -> str:
-        """Artifact/gate key: fully protocol-qualified so the gate and
-        the speedup figure only ever compare runs of the same shape —
-        longer campaigns drift into slower late-campaign iterations, so
-        a 600-iteration run must not be measured against a 60-iteration
-        figure any more than a wall-clock run against a fixed-count one.
-        """
+        """The protocol key: the gate only compares runs of one shape."""
+        unit = "it" if self.mode == "iterations" else "s"
         suffix = f"+{self.variant}" if self.variant else ""
-        if self.mode == "iterations":
-            return f"{self.scenario}@{self.budget:g}it{suffix}"
-        return f"{self.scenario}@{self.budget:g}s{suffix}"
+        return f"{self.scenario}@{self.budget:g}{unit}{suffix}"
 
     def to_dict(self) -> dict:
         return asdict(self)
 
+    def failures(self, entries: list[dict]) -> list[str]:
+        """Gate lines against the key's recorded entries (empty = pass)."""
+        floor, ceiling = gate_bounds(self.key, entries)
+        failures = []
+        if floor is not None and self.iters_per_sec < floor:
+            failures.append(
+                f"{self.key}: {self.iters_per_sec:.2f} iters/sec is a "
+                f">{MAX_REGRESSION:.0%} regression (floor {floor:.2f})")
+        if ceiling is not None and self.events_examined_per_iter > ceiling:
+            failures.append(
+                f"{self.key}: {self.events_examined_per_iter:.0f} "
+                f"events-examined/iter is a >{MAX_REGRESSION:.0%} "
+                f"regression (ceiling {ceiling:.0f})")
+        return failures
 
-def _load_spec(scenario: str):
-    from repro.scenarios import resolve_scenario
-
-    return resolve_scenario(scenario)
+    def summary(self) -> str:
+        return (f"{self.key}: {self.iters_per_sec:.2f} iters/sec, "
+                f"{self.events_examined_per_iter:.0f} events/iter "
+                f"({self.iterations} iterations in {self.seconds:.2f}s)")
 
 
 def run_bench(
     scenario: str = "quickstart",
-    budget_s: float | None = None,
     iterations: int | None = None,
-    telemetry: bool = False,
-    checkpoint_every: int = 0,
+    budget_s: float | None = None,
+    variant: str = "",
 ) -> BenchResult:
     """Measure one scenario's per-iteration hot path.
 
     Exactly one budget applies: ``budget_s`` runs for a wall-clock
     budget (checked between iterations), otherwise ``iterations``
-    (default: the scenario's own iteration budget) runs a fixed count.
-    The scenario's stop condition stays active — an early stop simply
-    ends the measurement with fewer iterations.
+    (default: the scenario's own budget) runs a fixed count.  The
+    scenario's stop condition stays active, so an early stop ends the
+    measurement with fewer iterations.
 
-    ``telemetry=True`` installs a live span/metric recorder around the
-    measured loop (and only the loop — offline setup stays untimed and
-    uninstrumented), producing the ``+telemetry`` variant the overhead
-    gate compares against the plain run.  ``checkpoint_every=N`` makes
-    the measured loop snapshot and atomically persist a real mid-shard
-    checkpoint every N iterations (into a scratch directory, exactly as
-    a campaign with a store would), producing the ``+checkpoint``
-    variant of the resilience overhead gate.
+    ``variant="telemetry"`` installs a live span/metric recorder around
+    the measured loop.  ``variant="checkpoint"`` snapshots and
+    atomically persists a real mid-shard checkpoint at the scenario's
+    ``checkpoint_every`` cadence into a scratch directory, exactly as a
+    stored campaign does.
     """
+    from repro.scenarios import resolve_scenario
+
     if budget_s is not None and iterations is not None:
         raise BenchError("pass either budget_s or iterations, not both")
     if budget_s is not None and budget_s <= 0:
         raise BenchError("budget_s must be positive")
     if iterations is not None and iterations < 1:
         raise BenchError("iterations must be >= 1")
-    if checkpoint_every < 0:
-        raise BenchError("checkpoint_every must be >= 0")
-    if telemetry and checkpoint_every:
-        raise BenchError("measure one variant at a time: telemetry or "
-                         "checkpointing")
+    if variant and variant not in VARIANTS:
+        raise BenchError(f"unknown variant {variant!r}")
 
-    spec = _load_spec(scenario)
+    spec = resolve_scenario(scenario)
     if iterations is not None:
         spec = spec.override(iterations=iterations)
     if spec.iterations == 0 and budget_s is None:
         raise BenchError(
             f"scenario {spec.name!r} is offline-only (iterations = 0); "
-            f"bench it with a wall-clock budget (--budget-s)"
+            f"bench it with a wall-clock budget ({spec.name}@10s)"
         )
+    if variant == "checkpoint" and spec.checkpoint_every < 1:
+        raise BenchError(f"scenario {spec.name!r} disables checkpoints")
 
-    specure = spec.build_specure()
-    campaign = specure.build_campaign()  # offline phase paid here, untimed
+    campaign = spec.build_specure().build_campaign()  # offline, untimed
 
     scenario_stop = spec.stop_predicate()
     if budget_s is None:
@@ -170,55 +248,36 @@ def run_bench(
                 return True
             return scenario_stop is not None and scenario_stop(findings)
 
-    run_kwargs: dict = {}
-    scratch = None
-    if checkpoint_every:
-        import tempfile
+    hooks: dict = {}
+    with contextlib.ExitStack() as stack:
+        if variant == "checkpoint":
+            from repro.scenarios.checkpoint import (
+                checkpoint_record,
+                save_checkpoint,
+            )
 
-        from repro.scenarios.checkpoint import (
-            checkpoint_record,
-            save_checkpoint,
-        )
+            scratch = stack.enter_context(tempfile.TemporaryDirectory(
+                prefix="repro-bench-checkpoint-", ignore_cleanup_errors=True))
 
-        scratch = tempfile.mkdtemp(prefix="repro-bench-checkpoint-")
-        seed = spec.seed
+            def on_checkpoint(next_iteration, result):
+                save_checkpoint(scratch, 0, checkpoint_record(
+                    0, spec.seed, next_iteration, campaign, result))
 
-        def on_checkpoint(next_iteration, result):
-            save_checkpoint(scratch, 0, checkpoint_record(
-                0, seed, next_iteration, campaign, result))
+            hooks = {"checkpoint_every": spec.checkpoint_every,
+                     "on_checkpoint": on_checkpoint}
+        elif variant == "telemetry":
+            from repro import telemetry
 
-        run_kwargs = {"checkpoint_every": checkpoint_every,
-                      "on_checkpoint": on_checkpoint}
-
-    try:
-        if telemetry:
-            from repro import telemetry as telemetry_mod
-
-            recorder = telemetry_mod.enable()
-            try:
-                started = time.perf_counter()
-                with recorder.span("campaign"):
-                    report = campaign.run(budget_iterations, stop_when=stop)
-                seconds = time.perf_counter() - started
-            finally:
-                telemetry_mod.disable()
-        else:
-            started = time.perf_counter()
-            report = campaign.run(budget_iterations, stop_when=stop,
-                                  **run_kwargs)
-            seconds = time.perf_counter() - started
-    finally:
-        if scratch is not None:
-            import shutil
-
-            shutil.rmtree(scratch, ignore_errors=True)
+            stack.callback(telemetry.disable)
+            stack.enter_context(telemetry.enable().span("campaign"))
+        started = time.perf_counter()
+        report = campaign.run(budget_iterations, stop_when=stop, **hooks)
+        seconds = time.perf_counter() - started
 
     done = report.fuzz.iterations
     if done == 0:
-        raise BenchError(
-            f"scenario {spec.name!r} completed no iterations within the "
-            f"budget; raise it"
-        )
+        raise BenchError(f"scenario {spec.name!r} completed no iterations "
+                         f"within the budget; raise it")
     events = campaign.online.events_examined
     return BenchResult(
         scenario=spec.name,
@@ -233,301 +292,99 @@ def run_bench(
         instructions=report.stats.instructions,
         coverage=report.fuzz.final_coverage(),
         findings=len(report.fuzz.findings),
-        peak_rss_kb=peak_rss_kb(),
-        variant=("telemetry" if telemetry
-                 else "checkpoint" if checkpoint_every else ""),
+        variant=variant,
     )
 
 
-# ----------------------------------------------------------------------
-# Telemetry overhead: the observability layer must stay near-free
-# ----------------------------------------------------------------------
-
 @dataclass(frozen=True)
-class TelemetryOverheadResult:
-    """Paired off/on measurement of one scenario's telemetry cost.
+class PairedResult:
+    """Paired off/on measurement of one variant's throughput cost.
 
-    ``overhead`` is the fractional slowdown of the instrumented run
-    (0.02 = the recorder costs 2% of iteration throughput), estimated
-    as the **median of per-repeat paired ratios**: each repeat runs
-    off then on back-to-back, so slow machine drift (noisy neighbours,
-    thermal state) hits both sides of a pair equally and cancels in
-    the ratio, and the median discards the outlier pairs a best-of
-    comparison would latch onto.  ``off``/``on`` keep each mode's best
-    run for the artifact's absolute figures.
+    ``overhead`` is the fractional slowdown of the variant (0.02 = it
+    costs 2% of iteration throughput), estimated as the **median of
+    per-pair ratios**: each pair runs both sides back to back, so slow
+    machine drift hits both equally and cancels in the ratio, and the
+    median discards outlier pairs.  ``off``/``on`` keep each side's
+    best run; the ``on`` side is gated like a plain protocol.
     """
 
-    scenario: str
-    iterations: int
-    repeats: int
     off: BenchResult
     on: BenchResult
     overhead: float
 
+    @property
+    def key(self) -> str:
+        return self.on.key
 
-def run_telemetry_overhead(
+    def to_dict(self) -> dict:
+        return {**self.on.to_dict(), "overhead": round(self.overhead, 4)}
+
+    def failures(self, entries: list[dict]) -> list[str]:
+        failures = []
+        if self.overhead > MAX_OVERHEAD:
+            failures.append(
+                f"{self.key}: {self.on.variant} overhead "
+                f"{self.overhead:.2%} exceeds the {MAX_OVERHEAD:.0%} "
+                f"ceiling ({self.off.iters_per_sec:.2f} -> "
+                f"{self.on.iters_per_sec:.2f} iters/sec)")
+        return failures + self.on.failures(entries)
+
+    def summary(self) -> str:
+        return (f"{self.key}: {self.on.iters_per_sec:.2f} iters/sec vs "
+                f"{self.off.iters_per_sec:.2f} without, overhead "
+                f"{self.overhead:+.2%}, "
+                f"{self.on.events_examined_per_iter:.0f} events/iter")
+
+
+def run_paired(
     scenario: str = "quickstart",
     iterations: int | None = None,
-    repeats: int = 3,
-) -> TelemetryOverheadResult:
-    """Measure the telemetry recorder's iteration-throughput cost.
+    budget_s: float | None = None,
+    variant: str = "telemetry",
+    repeats: int = REPEATS,
+) -> PairedResult:
+    """Measure ``variant``'s cost against the plain protocol.
 
-    Runs the same fixed-iteration protocol ``repeats`` times per mode,
-    interleaved off/on so machine drift hits both sides of each pair
-    equally; the overhead estimate is the median of the per-pair
-    throughput ratios (see :class:`TelemetryOverheadResult`).
+    Each of the ``repeats`` pairs runs both sides back to back, and
+    the side that runs first alternates from pair to pair so neither
+    side always gets the warmer machine.
     """
-    if repeats < 1:
-        raise BenchError("repeats must be >= 1")
-    spec = _load_spec(scenario)
-    budget = iterations if iterations is not None else spec.iterations
-    if budget < 1:
-        raise BenchError(
-            f"scenario {scenario!r} is offline-only; pass --iterations"
-        )
+    best: dict[str, BenchResult] = {}
+    ratios = []
+    for repeat in range(repeats):
+        order = ("", variant) if repeat % 2 == 0 else (variant, "")
+        pair = {}
+        for side in order:
+            pair[side] = result = run_bench(scenario, iterations, budget_s,
+                                            variant=side)
+            if side not in best or \
+                    result.iters_per_sec > best[side].iters_per_sec:
+                best[side] = result
+        ratios.append(pair[""].iters_per_sec / pair[variant].iters_per_sec
+                      - 1.0)
+    return PairedResult(off=best[""], on=best[variant],
+                        overhead=statistics.median(ratios))
 
-    best: dict[bool, BenchResult] = {}
-    ratios: list[float] = []
-    for _ in range(repeats):
-        pair: dict[bool, BenchResult] = {}
-        for with_telemetry in (False, True):
-            result = run_bench(
-                scenario=scenario,
-                iterations=budget,
-                telemetry=with_telemetry,
-            )
-            pair[with_telemetry] = result
-            incumbent = best.get(with_telemetry)
-            if incumbent is None or result.iters_per_sec > incumbent.iters_per_sec:
-                best[with_telemetry] = result
-        ratios.append(
-            pair[False].iters_per_sec / pair[True].iters_per_sec - 1.0
-        )
-    ratios.sort()
-    middle = len(ratios) // 2
-    if len(ratios) % 2:
-        overhead = ratios[middle]
-    else:
-        overhead = (ratios[middle - 1] + ratios[middle]) / 2.0
-    return TelemetryOverheadResult(
-        scenario=spec.name,
-        iterations=budget,
-        repeats=repeats,
-        off=best[False],
-        on=best[True],
-        overhead=overhead,
-    )
-
-
-def check_telemetry_overhead(
-    result: TelemetryOverheadResult,
-    max_overhead: float = 0.03,
-) -> list[str]:
-    """Gate: the instrumented run must stay within ``max_overhead``
-    fractional slowdown of the plain run.  Returns failure messages
-    (empty = pass).
-    """
-    failures: list[str] = []
-    if result.overhead > max_overhead:
-        failures.append(
-            f"{result.scenario}@{result.iterations}it: telemetry overhead "
-            f"{result.overhead * 100:.2f}% exceeds the "
-            f"{max_overhead * 100:g}% ceiling "
-            f"({result.off.iters_per_sec:.2f} -> "
-            f"{result.on.iters_per_sec:.2f} iters/sec)"
-        )
-    return failures
-
-
-def render_telemetry_overhead(result: TelemetryOverheadResult) -> str:
-    """Human-readable off/on comparison table."""
-    rows = [
-        ["telemetry off", f"{result.off.iters_per_sec:.2f}",
-         f"{result.off.seconds:.2f}", str(result.off.peak_rss_kb)],
-        ["telemetry on", f"{result.on.iters_per_sec:.2f}",
-         f"{result.on.seconds:.2f}", str(result.on.peak_rss_kb)],
-    ]
-    table = ascii_table(
-        ["mode", "iters/sec", "seconds", "peak rss (kb)"], rows,
-        title=(
-            f"Telemetry overhead: {result.scenario} "
-            f"@{result.iterations}it (best of {result.repeats})"
-        ),
-    )
-    overhead = max(0.0, result.overhead)
-    return f"{table}\noverhead: {overhead * 100:.2f}%"
-
-
-# ----------------------------------------------------------------------
-# Checkpoint overhead: mid-shard resilience must stay near-free
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CheckpointOverheadResult:
-    """Paired off/on measurement of mid-shard checkpointing cost.
-
-    Same estimator as :class:`TelemetryOverheadResult` (median of
-    per-repeat paired off/on throughput ratios); the ``on`` side runs
-    the scenario's fuzz loop with a real checkpoint snapshot + atomic
-    write every ``every`` iterations, exactly as a stored campaign at
-    that cadence would.
-    """
-
-    scenario: str
-    iterations: int
-    repeats: int
-    every: int
-    off: BenchResult
-    on: BenchResult
-    overhead: float
-
-
-def run_checkpoint_overhead(
-    scenario: str = "quickstart",
-    iterations: int | None = None,
-    repeats: int = 3,
-    every: int = 25,
-) -> CheckpointOverheadResult:
-    """Measure mid-shard checkpointing's iteration-throughput cost.
-
-    ``every`` defaults to the :class:`ScenarioSpec` default cadence
-    (``checkpoint_every = 25``), so the committed gate pins the cost
-    every stored campaign pays out of the box.
-    """
-    if repeats < 1:
-        raise BenchError("repeats must be >= 1")
-    if every < 1:
-        raise BenchError("checkpoint cadence must be >= 1")
-    spec = _load_spec(scenario)
-    budget = iterations if iterations is not None else spec.iterations
-    if budget < 1:
-        raise BenchError(
-            f"scenario {scenario!r} is offline-only; pass --iterations"
-        )
-
-    best: dict[bool, BenchResult] = {}
-    ratios: list[float] = []
-    for _ in range(repeats):
-        pair: dict[bool, BenchResult] = {}
-        for with_checkpoints in (False, True):
-            result = run_bench(
-                scenario=scenario,
-                iterations=budget,
-                checkpoint_every=every if with_checkpoints else 0,
-            )
-            pair[with_checkpoints] = result
-            incumbent = best.get(with_checkpoints)
-            if incumbent is None or \
-                    result.iters_per_sec > incumbent.iters_per_sec:
-                best[with_checkpoints] = result
-        ratios.append(
-            pair[False].iters_per_sec / pair[True].iters_per_sec - 1.0
-        )
-    ratios.sort()
-    middle = len(ratios) // 2
-    if len(ratios) % 2:
-        overhead = ratios[middle]
-    else:
-        overhead = (ratios[middle - 1] + ratios[middle]) / 2.0
-    return CheckpointOverheadResult(
-        scenario=spec.name,
-        iterations=budget,
-        repeats=repeats,
-        every=every,
-        off=best[False],
-        on=best[True],
-        overhead=overhead,
-    )
-
-
-def check_checkpoint_overhead(
-    result: CheckpointOverheadResult,
-    max_overhead: float = 0.03,
-) -> list[str]:
-    """Gate: checkpointing at the measured cadence must stay within
-    ``max_overhead`` fractional slowdown.  Returns failure messages
-    (empty = pass).
-    """
-    failures: list[str] = []
-    if result.overhead > max_overhead:
-        failures.append(
-            f"{result.scenario}@{result.iterations}it: checkpoint overhead "
-            f"{result.overhead * 100:.2f}% (cadence {result.every}) exceeds "
-            f"the {max_overhead * 100:g}% ceiling "
-            f"({result.off.iters_per_sec:.2f} -> "
-            f"{result.on.iters_per_sec:.2f} iters/sec)"
-        )
-    return failures
-
-
-def render_checkpoint_overhead(result: CheckpointOverheadResult) -> str:
-    """Human-readable off/on comparison table."""
-    rows = [
-        ["checkpoints off", f"{result.off.iters_per_sec:.2f}",
-         f"{result.off.seconds:.2f}", str(result.off.peak_rss_kb)],
-        [f"every {result.every} iters", f"{result.on.iters_per_sec:.2f}",
-         f"{result.on.seconds:.2f}", str(result.on.peak_rss_kb)],
-    ]
-    table = ascii_table(
-        ["mode", "iters/sec", "seconds", "peak rss (kb)"], rows,
-        title=(
-            f"Checkpoint overhead: {result.scenario} "
-            f"@{result.iterations}it (best of {result.repeats})"
-        ),
-    )
-    overhead = max(0.0, result.overhead)
-    return f"{table}\noverhead: {overhead * 100:.2f}%"
-
-
-def parse_scenario_request(request: str) -> tuple[str, int | None]:
-    """Parse a ``name`` or ``name@ITERATIONS`` bench request.
-
-    The suffix pins one scenario's iteration budget independently of
-    the global ``--iterations`` flag, so a single invocation can
-    regenerate an artifact whose entries use different protocols
-    (``quickstart@60`` next to ``contract-ablation@40``).
-    """
-    name, separator, budget = request.partition("@")
-    if not separator:
-        return request, None
-    try:
-        iterations = int(budget)
-    except ValueError:
-        raise BenchError(
-            f"invalid scenario request {request!r}: expected NAME or "
-            f"NAME@ITERATIONS (e.g. quickstart@60)"
-        ) from None
-    if iterations < 1:
-        raise BenchError(
-            f"invalid scenario request {request!r}: iterations must be >= 1"
-        )
-    return name, iterations
-
-
-# ----------------------------------------------------------------------
-# Executor scaling: timed sharded campaigns at several jobs counts
-# ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ScalingResult:
-    """Wall-clock scaling of one timed sharded campaign across jobs.
+    """Wall-clock scaling of one timed sharded campaign.
 
-    The measured workload is the paper's time-budgeted campaign shape:
-    every shard fuzzes an independent seed stream for the *same*
-    wall-clock budget, so ``jobs=N`` runs N budgets concurrently where
-    ``jobs=1`` pays them back to back — the wall-clock speedup the
-    24-hour runs see from the executor.  ``deterministic`` reports the
-    orthogonal correctness property, checked on a fixed-iteration run
-    of the same scenario: the merged report is byte-identical across
-    jobs counts (completion order must not leak into artifacts).
+    Every shard fuzzes an independent seed stream for the *same*
+    wall-clock budget, so ``jobs=K`` runs K budgets concurrently where
+    ``jobs=1`` pays them back to back: the speedup long campaigns see
+    from the executor.  ``deterministic`` is checked on a
+    fixed-iteration run of the same scenario: the merged report is
+    byte-identical across jobs counts (completion order must not leak
+    into artifacts).
     """
 
     scenario: str
     shards: int
     budget_s: float
-    wall_seconds: dict[int, float]      # jobs -> campaign wall clock
-    iterations: dict[int, int]          # jobs -> iterations completed
-    speedup: float | None               # jobs=1 wall / max-jobs wall
+    wall_seconds: dict[str, float]      # "jobs=N" -> campaign wall clock
+    iterations: dict[str, int]          # "jobs=N" -> iterations completed
+    speedup: float                      # jobs=1 wall / jobs=K wall
     deterministic: bool
     check_iterations: int               # fixed budget of the byte check
 
@@ -536,379 +393,166 @@ class ScalingResult:
         return f"{self.scenario}@{self.shards}x{self.budget_s:g}s-scaling"
 
     def to_dict(self) -> dict:
-        payload = asdict(self)
-        # JSON object keys are strings; keep "jobs=N" self-describing.
-        payload["wall_seconds"] = {
-            f"jobs={jobs}": round(seconds, 3)
-            for jobs, seconds in sorted(self.wall_seconds.items())
-        }
-        payload["iterations"] = {
-            f"jobs={jobs}": count
-            for jobs, count in sorted(self.iterations.items())
-        }
-        if self.speedup is not None:
-            payload["speedup"] = round(self.speedup, 3)
-        payload["key"] = self.key
-        return payload
+        return asdict(self)
+
+    def failures(self, entries: list[dict]) -> list[str]:
+        failures = []
+        if self.speedup < MIN_SCALING:
+            failures.append(
+                f"{self.key}: jobs={self.shards} is only "
+                f"{self.speedup:.2f}x faster than jobs=1 "
+                f"(required >= {MIN_SCALING:.2f}x)")
+        if not self.deterministic:
+            failures.append(
+                f"{self.key}: fixed-iteration merged reports differ "
+                f"across jobs counts — the executor leaked completion "
+                f"order into artifacts")
+        return failures
+
+    def summary(self) -> str:
+        walls = ", ".join(f"{jobs} {seconds:.2f}s"
+                          for jobs, seconds in self.wall_seconds.items())
+        return (f"{self.key}: {walls} wall, speedup {self.speedup:.2f}x, "
+                f"merged reports byte-identical: "
+                f"{'yes' if self.deterministic else 'NO'}")
 
 
 def run_scaling_bench(
     scenario: str = "quickstart",
-    shards: int = 4,
+    shards: int = 2,
     budget_s: float = 2.0,
-    jobs_list: tuple[int, ...] = (1, 4),
     check_iterations: int = 12,
 ) -> ScalingResult:
     """Measure executor scaling on a timed sharded campaign.
 
-    For each jobs count, runs ``shards`` wall-clock-budgeted shards of
-    the scenario through the shard executor — inline at ``jobs=1``, on
-    the worker fleet otherwise — and records the campaign's total wall
-    time.  A small warm-up run per jobs count pays the one-time fleet
-    fork and per-worker statics (netlist + offline phase) *outside* the
-    measurement, mirroring steady-state campaign service.  Separately,
-    a fixed-iteration run of the same scenario at the smallest and
-    largest jobs counts pins byte-identical merged reports
-    (``deterministic``).
+    Runs ``shards`` wall-clock-budgeted shards of the scenario inline
+    (jobs=1) and on the worker fleet (jobs=shards), timing each
+    campaign.  A small warm-up per jobs count pays the fleet fork and
+    per-worker statics (netlist + offline phase) off the clock, so the
+    speedup compares steady-state executors.  A fixed-iteration run at
+    both jobs counts then checks that the merged reports are
+    byte-identical.
     """
-    import time
-
     from repro.harness.parallel import run_shards
+    from repro.scenarios import resolve_scenario
 
-    if shards < 1:
-        raise BenchError("shards must be >= 1")
+    if shards < 2:
+        raise BenchError("a scaling bench needs >= 2 shards")
     if budget_s <= 0:
         raise BenchError("budget_s must be positive")
-    if not jobs_list:
-        raise BenchError("jobs_list must name at least one jobs count")
-    spec = _load_spec(scenario)
+    spec = resolve_scenario(scenario)
     specure = spec.build_specure()
 
-    wall_seconds: dict[int, float] = {}
-    iterations_done: dict[int, int] = {}
-    for jobs in jobs_list:
-        if jobs < 1:
-            raise BenchError("every jobs count must be >= 1")
-        # Pay the one-time costs off the clock for *every* jobs count —
-        # fleet fork + per-worker statics when multi-process, in-process
-        # statics (netlist + offline phase) when inline — so the speedup
-        # compares steady-state executors, not cold-start asymmetry.
+    jobs_counts = (1, shards)
+    wall_seconds: dict[str, float] = {}
+    iterations_done: dict[str, int] = {}
+    for jobs in jobs_counts:
         run_shards(specure, shards, jobs, seconds=0.05)
         started = time.perf_counter()
         merged = run_shards(specure, shards, jobs, seconds=budget_s)
-        wall_seconds[jobs] = time.perf_counter() - started
-        iterations_done[jobs] = merged.fuzz.iterations
+        wall_seconds[f"jobs={jobs}"] = time.perf_counter() - started
+        iterations_done[f"jobs={jobs}"] = merged.fuzz.iterations
 
-    speedup = None
-    slowest = min(jobs_list)
-    fastest = max(jobs_list)
-    if slowest != fastest:
-        speedup = wall_seconds[slowest] / wall_seconds[fastest]
-
-    # Determinism: fixed-iteration merged reports must not depend on the
-    # jobs count (completion order is reassembled by unit id).
     low, high = (
         run_shards(specure, shards, jobs, iterations=check_iterations)
-        for jobs in (slowest, fastest)
+        for jobs in jobs_counts
     )
-    deterministic = (
-        low.render(include_timings=False) == high.render(include_timings=False)
-    )
-
     return ScalingResult(
         scenario=spec.name,
         shards=shards,
         budget_s=float(budget_s),
         wall_seconds=wall_seconds,
         iterations=iterations_done,
-        speedup=speedup,
-        deterministic=deterministic,
+        speedup=wall_seconds["jobs=1"] / wall_seconds[f"jobs={shards}"],
+        deterministic=(low.render(include_timings=False)
+                       == high.render(include_timings=False)),
         check_iterations=check_iterations,
     )
 
 
-def check_scaling(scaling: ScalingResult,
-                  min_speedup: float) -> list[str]:
-    """Gate lines for a scaling measurement (empty = passed)."""
+def measure(key: str) -> BenchResult | PairedResult | ScalingResult:
+    """Run the measurement a protocol key names."""
+    protocol = parse_protocol(key)
+    if protocol.shards:
+        return run_scaling_bench(protocol.scenario, protocol.shards,
+                                 protocol.budget_s)
+    if protocol.variant:
+        return run_paired(protocol.scenario, protocol.iterations,
+                          protocol.budget_s, protocol.variant)
+    return run_bench(protocol.scenario, protocol.iterations,
+                     protocol.budget_s)
+
+
+def check_regression(results, history: dict[str, list[dict]]) -> list[str]:
+    """Gate fresh results against the recorded history (empty = pass);
+    a key with no recorded entry has no figure to regress from."""
     failures = []
-    if scaling.speedup is not None and scaling.speedup < min_speedup:
-        jobs = max(scaling.wall_seconds)
-        failures.append(
-            f"{scaling.key}: jobs={jobs} is only "
-            f"{scaling.speedup:.2f}x faster than jobs=1 "
-            f"(required >= {min_speedup:.2f}x)"
-        )
-    if not scaling.deterministic:
-        failures.append(
-            f"{scaling.key}: fixed-iteration merged reports differ "
-            f"across jobs counts — the executor leaked completion order "
-            f"into artifacts"
-        )
+    for result in results:
+        failures.extend(result.failures(history.get(result.key, [])))
     return failures
 
 
-def render_scaling(scaling: ScalingResult) -> str:
-    """Human-readable scaling table."""
-    rows = [
-        [f"jobs={jobs}", f"{seconds:.2f}",
-         scaling.iterations.get(jobs, 0)]
-        for jobs, seconds in sorted(scaling.wall_seconds.items())
-    ]
-    table = ascii_table(
-        ["executor", "wall seconds", "iterations"],
-        rows,
-        title=f"Executor scaling: {scaling.scenario}, {scaling.shards} "
-              f"timed shards x {scaling.budget_s:g}s",
-    )
-    if scaling.speedup is not None:
-        table += f"\nwall-clock speedup: {scaling.speedup:.2f}x"
-    table += ("\nmerged reports byte-identical across jobs counts: "
-              + ("yes" if scaling.deterministic else "NO"))
-    return table
-
-
-# ----------------------------------------------------------------------
-# Artifact emission and the CI gate
-# ----------------------------------------------------------------------
-
-def baseline_entries(baseline: dict) -> dict[str, dict]:
-    """A baseline's per-protocol entries, keyed like :attr:`BenchResult.key`.
-
-    Handles both baseline shapes: the legacy single-scenario dicts
-    (``PRE_PR_BASELINE``/``PR4_CONTRACT_BASELINE``) and the multi-entry
-    form (``PR5_BASELINE``) whose ``entries`` table carries one
-    denominator per protocol-qualified key.
-    """
-    if "entries" in baseline:
-        return dict(baseline["entries"])
-    protocol = baseline["protocol"]
-    suffix = "it" if protocol["mode"] == "iterations" else "s"
-    key = f"{baseline['scenario']}@{protocol['value']:g}{suffix}"
-    return {key: baseline}
-
-
-def speedups_vs_baseline(results: list[BenchResult],
-                         baseline: dict) -> dict[str, float]:
-    """Per-protocol iterations/sec speedups of the fresh results.
-
-    Only a run replaying a baseline entry's own protocol (same scenario,
-    same mode, same budget) produces a speedup figure — any other shape
-    would compare different workloads.
-    """
-    entries = baseline_entries(baseline)
-    speedups: dict[str, float] = {}
-    for result in results:
-        reference = entries.get(result.key)
-        if reference is not None:
-            speedups[result.key] = \
-                result.iters_per_sec / reference["iters_per_sec"]
-    return speedups
-
-
-def speedup_vs_baseline(results: list[BenchResult],
-                        baseline: dict = PRE_PR_BASELINE) -> float | None:
-    """The single-baseline speedup figure (legacy artifact shape).
-
-    For multi-entry baselines, the first matching entry's speedup is
-    returned (``speedups_vs_baseline`` carries the full map).
-    """
-    speedups = speedups_vs_baseline(results, baseline)
-    if not speedups:
-        return None
-    return next(iter(speedups.values()))
-
-
-def artifact_tag(path: str | Path) -> str:
-    """The bench tag of an artifact path (``BENCH_pr4.json`` → ``pr4``)."""
-    stem = Path(path).stem
-    return stem[len("BENCH_"):] if stem.startswith("BENCH_") else stem
-
-
-def baseline_for(path: str | Path) -> dict:
-    """The committed baseline an artifact path compares against.
-
-    ``BENCH_pr3.json`` carries the pre-PR-3 quickstart figure and
-    ``BENCH_pr4.json`` the contract-pathway introduction figure; any
-    other path defaults to the quickstart baseline.
-    """
-    return BASELINES.get(artifact_tag(path), PRE_PR_BASELINE)
-
-
-def emit_bench(
-    results: list[BenchResult],
-    path: str | Path = "BENCH_pr3.json",
-    baseline: dict | None = None,
-    scaling: "ScalingResult | None" = None,
-    extra: dict | None = None,
-) -> dict:
-    """Write the machine-readable bench artifact; returns its payload.
-
-    The payload carries both sides of the before/after story: the
-    committed ``baseline`` (chosen per artifact via
-    :func:`baseline_for` unless given explicitly) and the fresh
-    ``results``, plus the derived ``speedup_vs_baseline`` when the
-    baseline scenario was run.  The ``bench`` tag is derived from the
-    artifact's file name, so ``BENCH_pr3.json`` and ``BENCH_pr4.json``
-    (the contract-mode entry) self-identify.  ``extra`` merges
-    artifact-specific top-level fields into the payload (e.g. the
-    measured ``telemetry_overhead`` fraction in ``BENCH_pr9.json``).
-    """
-    if baseline is None:
-        baseline = baseline_for(path)
-    payload = {
-        "bench": artifact_tag(path),
-        "generated_by": "python -m repro bench",
-        "baseline": dict(baseline),
-        "results": {result.key: result.to_dict() for result in results},
-    }
-    speedups = speedups_vs_baseline(results, baseline)
-    if speedups:
-        payload["speedup_vs_baseline"] = round(next(iter(speedups.values())), 3)
-        if len(baseline_entries(baseline)) > 1:
-            payload["speedups_vs_baseline"] = {
-                key: round(value, 3) for key, value in speedups.items()
-            }
-    if scaling is not None:
-        payload["scaling"] = scaling.to_dict()
-    if extra:
-        payload.update(extra)
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-    return payload
-
-
-def load_bench(path: str | Path) -> dict:
-    """Load a previously emitted bench artifact."""
+def load_bench(path: str | Path = BENCH_PATH) -> dict[str, list[dict]]:
+    """The per-key history table of a bench file."""
     try:
         payload = json.loads(Path(path).read_text())
     except OSError as error:
-        raise BenchError(f"cannot read bench artifact {path}: {error}") from None
+        raise BenchError(f"cannot read bench file {path}: {error}") from None
     except json.JSONDecodeError as error:
-        raise BenchError(f"invalid bench artifact {path}: {error}") from None
-    if not isinstance(payload, dict) or "results" not in payload:
-        raise BenchError(f"bench artifact {path} has no 'results' table")
-    return payload
+        raise BenchError(f"invalid bench file {path}: {error}") from None
+    if not isinstance(payload, dict) or \
+            not isinstance(payload.get("history"), dict):
+        raise BenchError(f"bench file {path} has no 'history' table")
+    return payload["history"]
 
 
-def check_regression(
-    results: list[BenchResult],
-    committed: dict,
-    max_regression: float = 0.25,
-) -> list[str]:
-    """Compare fresh results against a committed artifact's numbers.
-
-    Returns human-readable failure lines (empty = gate passed).  Two
-    checks per scenario, matched by protocol-qualified key (scenarios
-    absent from the committed artifact are skipped — new benches are
-    not gated):
-
-    * **iterations/sec** must not drop more than ``max_regression``
-      below the committed figure.  Wall clock varies across machines,
-      so the committed number should come from hardware comparable to
-      the gate's runner;
-    * **events-examined/iteration** — machine-independent analysis
-      work — must not *rise* more than ``max_regression`` above the
-      committed figure.  This catches algorithmic regressions (a
-      de-indexed query path, a lost memo) even when the gate runs on a
-      faster machine that would hide them from the wall-clock check.
-    """
-    failures = []
-    committed_results = committed.get("results", {})
+def record_bench(results, path: str | Path = BENCH_PATH) -> dict:
+    """Append one history entry per result to the bench file (created
+    when absent) and return the updated history."""
+    path = Path(path)
+    history = load_bench(path) if path.exists() else {}
+    source = time.strftime("record %Y-%m-%d", time.gmtime())
     for result in results:
-        reference = committed_results.get(result.key)
-        if reference is None:
-            continue
-        floor = reference["iters_per_sec"] * (1.0 - max_regression)
-        if result.iters_per_sec < floor:
-            failures.append(
-                f"{result.key}: {result.iters_per_sec:.2f} iters/sec "
-                f"is a >{max_regression:.0%} regression vs the committed "
-                f"{reference['iters_per_sec']:.2f} (floor {floor:.2f})"
-            )
-        reference_events = reference.get("events_examined_per_iter")
-        # Only fixed-iteration runs execute a machine-independent
-        # workload; in budget mode a faster runner completes more
-        # iterations, and events/iter legitimately grows as a campaign
-        # progresses, so the comparison would be spurious there.
-        if reference_events and result.mode == "iterations":
-            ceiling = reference_events * (1.0 + max_regression)
-            if result.events_examined_per_iter > ceiling:
-                failures.append(
-                    f"{result.key}: {result.events_examined_per_iter:.0f} "
-                    f"events-examined/iter is a >{max_regression:.0%} "
-                    f"regression vs the committed {reference_events:.0f} "
-                    f"(ceiling {ceiling:.0f})"
-                )
-    return failures
+        history.setdefault(result.key, []).append(
+            {"source": source, **result.to_dict()})
+    payload = {"generated_by": "python -m repro bench --record",
+               "history": history}
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+    return history
 
 
-def render_bench_list() -> str:
-    """The benchable-scenario listing behind ``python -m repro bench --list``.
+def _figure(entry: dict) -> str:
+    if "wall_seconds" in entry:
+        text = f"{entry['speedup']:.2f}x"
+    else:
+        text = f"{entry['iters_per_sec']:.2f} it/s"
+    if "overhead" in entry:
+        text += f" {entry['overhead']:+.1%}"
+    return f"{text} ({entry['source']})"
 
-    One row per registry scenario: the protocol its own budget implies
-    (offline-only scenarios need an explicit wall-clock budget), and the
-    committed baseline figure when any committed bench artifact's
-    baseline carries an entry for that protocol.
-    """
-    from repro.scenarios import get_scenario, scenario_names
 
-    committed: dict[str, dict] = {}
-    for baseline in BASELINES.values():
-        committed.update(baseline_entries(baseline))
-
+def render_bench_list(history: dict[str, list[dict]]) -> str:
+    """The ``bench --list`` table: the first and latest recorded entry
+    of every suite protocol (and any other recorded key), with the
+    bounds the gate derives from the history."""
     rows = []
-    for name in scenario_names():
-        spec = get_scenario(name)
-        if spec.iterations == 0:
-            protocol = "offline-only (needs --budget-s)"
-        else:
-            protocol = f"{name}@{spec.iterations:g}it"
-        # A committed baseline may pin a different protocol than the
-        # scenario's own budget (the gate replays the baseline's): show
-        # whatever entry exists for this scenario.
-        reference = "-"
-        for key, entry in committed.items():
-            if entry.get("scenario", key.partition("@")[0]) == name:
-                reference = f"{key}: {entry['iters_per_sec']:.2f} iters/sec"
-                break
-        rows.append([name, protocol, reference])
-    table = ascii_table(
-        ["scenario", "bench protocol", "committed baseline"],
-        rows,
-        title="Benchable scenarios (protocol = scenario's own budget)",
-    )
-    return (
-        table
-        + "\nbench any entry with: python -m repro bench --scenario "
-        + "NAME[@ITERATIONS] [--budget-s S]"
-    )
-
-
-def render_bench(results: list[BenchResult],
-                 baseline: dict = PRE_PR_BASELINE) -> str:
-    """Human-readable results table (with the baseline rows for context)."""
-    rows = []
-    for key, entry in baseline_entries(baseline).items():
+    for key in (*SUITE, *(key for key in history if key not in SUITE)):
+        entries = history.get(key, [])
+        floor, ceiling = gate_bounds(key, entries)
         rows.append([
-            f"{key} (pre-PR baseline)",
-            entry.get("iterations", entry["protocol"]["value"]),
-            f"{entry['iters_per_sec']:.2f}",
-            f"{entry['events_examined_per_iter']:.0f}",
-            f"{entry['peak_rss_kb']:,}",
-        ])
-    for result in results:
-        rows.append([
-            result.key,
-            result.iterations,
-            f"{result.iters_per_sec:.2f}",
-            f"{result.events_examined_per_iter:.0f}",
-            f"{result.peak_rss_kb:,}",
+            key,
+            _figure(entries[0]) if entries else "-",
+            _figure(entries[-1]) if entries else "-",
+            f"{floor:.2f}" if floor is not None else "-",
+            f"{ceiling:.1f}" if ceiling is not None else "-",
         ])
     table = ascii_table(
-        ["scenario", "iterations", "iters/sec", "events/iter", "peak RSS (KiB)"],
-        rows,
-        title="Campaign bench: per-iteration hot path",
+        ["protocol", "first", "latest", "it/s floor", "events/iter ceiling"],
+        rows, title="Bench suite history (BENCH.json)",
     )
-    speedups = speedups_vs_baseline(results, baseline)
-    for key, speedup in speedups.items():
-        table += f"\nspeedup vs pre-PR baseline ({key}): {speedup:.2f}x"
-    return table
+    return (f"{table}\n"
+            f"gates: iters/sec >= {1 - MAX_REGRESSION:.0%} of the best "
+            f"recorded; events/iter <= {1 + MAX_REGRESSION:.0%} of the "
+            f"lowest recorded;\n       variant overhead <= "
+            f"{MAX_OVERHEAD:.0%} (median of {REPEATS} alternating pairs); "
+            f"scaling >= {MIN_SCALING:g}x, merges byte-identical")

@@ -70,3 +70,13 @@ def test_list_scenarios_cli_runs_cleanly():
     )
     assert completed.returncode == 0, completed.stderr
     assert "spectre-v1" in completed.stdout
+
+
+def test_readme_bench_table_is_the_bench_list_output():
+    from repro.perf import load_bench, render_bench_list
+
+    listing = render_bench_list(load_bench(REPO_ROOT / "BENCH.json"))
+    readme = (REPO_ROOT / "README.md").read_text()
+    assert f"```text\n{listing}\n```" in readme, (
+        "README's bench table is stale: paste the output of "
+        "`python -m repro bench --list`")

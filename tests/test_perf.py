@@ -1,30 +1,58 @@
-"""Tests for the perf subsystem: bench harness, artifact, CI gate."""
+"""Tests for the bench suite: protocols, measurements, BENCH.json, the
+gate and the ``bench`` command."""
 
 import json
+import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.perf import (
-    PRE_PR_BASELINE,
+    SUITE,
     BenchError,
     BenchResult,
     check_regression,
-    emit_bench,
     load_bench,
-    peak_rss_kb,
-    render_bench,
+    record_bench,
+    render_bench_list,
     run_bench,
-    speedup_vs_baseline,
+    run_paired,
 )
+from repro.perf.bench import (
+    MAX_OVERHEAD,
+    MIN_SCALING,
+    Protocol,
+    gate_bounds,
+    parse_protocol,
+)
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _bench_cli(*args, cwd):
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "repro", "bench", *args],
+        capture_output=True, text=True, cwd=cwd, env=env, timeout=300,
+    )
+
+
+def _history(result, **overrides):
+    return {result.key: [dict(result.to_dict(), source="test", **overrides)]}
 
 
 @pytest.fixture(scope="module")
 def quick_result():
     """One tiny fixed-iteration bench (module-scoped: offline phase)."""
     return run_bench("quickstart", iterations=4)
+
+
+@pytest.fixture(scope="module")
+def committed():
+    return load_bench(REPO / "BENCH.json")
 
 
 class TestRunBench:
@@ -44,7 +72,9 @@ class TestRunBench:
         )
         assert quick_result.cycles > 0
         assert quick_result.instructions > 0
-        assert quick_result.peak_rss_kb > 0
+        # ru_maxrss is a process-lifetime high-water mark, so it cannot
+        # be attributed to one protocol of a one-process suite.
+        assert "peak_rss_kb" not in quick_result.to_dict()
 
     def test_key_is_protocol_qualified(self, quick_result):
         assert quick_result.key == "quickstart@4it"
@@ -55,6 +85,7 @@ class TestRunBench:
     def test_budget_mode_respects_the_wall_clock(self):
         result = run_bench("quickstart", budget_s=1.5)
         assert result.mode == "budget_s"
+        assert result.key == "quickstart@1.5s"
         assert result.iterations >= 1
         # One in-flight evaluation may overshoot; bound it loosely.
         assert result.seconds < 30
@@ -66,38 +97,27 @@ class TestRunBench:
             run_bench("quickstart", iterations=0)
         with pytest.raises(BenchError):
             run_bench("quickstart", budget_s=0)
+        with pytest.raises(BenchError):
+            run_bench("quickstart", iterations=1, variant="bogus")
 
     def test_offline_only_scenarios_need_a_wall_clock_budget(self):
         with pytest.raises(BenchError):
             run_bench("offline-analysis")
 
-    def test_peak_rss_is_positive(self):
-        assert peak_rss_kb() > 0
-
 
 class TestArtifact:
-    def test_emit_and_load_round_trip(self, quick_result, tmp_path):
-        path = tmp_path / "BENCH_pr3.json"
-        payload = emit_bench([quick_result], path=path)
-        loaded = load_bench(path)
-        assert loaded == json.loads(json.dumps(payload))
-        assert loaded["bench"] == "pr3"
-        assert loaded["baseline"] == PRE_PR_BASELINE
-        assert loaded["results"]["quickstart@4it"]["iterations"] == 4
-        # A 4-iteration run does not replay the 60-iteration baseline
-        # protocol, so no speedup figure is derived.
-        assert "speedup_vs_baseline" not in loaded
+    """Reading and appending a BENCH.json history file."""
 
-    def test_speedup_only_for_the_baseline_protocol(self, quick_result):
-        # Not the baseline's protocol (4 iterations vs 60): no figure.
-        assert speedup_vs_baseline([quick_result]) is None
-        matching = BenchResult(**{**quick_result.to_dict(), "budget": 60.0})
-        assert speedup_vs_baseline([matching]) == pytest.approx(
-            matching.iters_per_sec / PRE_PR_BASELINE["iters_per_sec"]
-        )
-        budget = BenchResult(**{**quick_result.to_dict(),
-                                "mode": "budget_s", "budget": 10.0})
-        assert speedup_vs_baseline([budget]) is None
+    def test_emit_and_load_round_trip(self, quick_result, tmp_path):
+        path = tmp_path / "BENCH.json"
+        record_bench([quick_result], path=path)
+        history = record_bench([quick_result], path=path)
+        assert load_bench(path) == json.loads(json.dumps(history))
+        entries = history["quickstart@4it"]
+        assert len(entries) == 2                  # appended, not replaced
+        assert entries[0]["source"].startswith("record ")
+        assert entries[1] == dict(quick_result.to_dict(),
+                                  source=entries[1]["source"])
 
     def test_load_rejects_missing_and_malformed(self, tmp_path):
         with pytest.raises(BenchError):
@@ -111,190 +131,214 @@ class TestArtifact:
         with pytest.raises(BenchError):
             load_bench(shapeless)
 
-    def test_render_mentions_baseline_and_speedup(self, quick_result):
-        text = render_bench([quick_result])
-        assert "pre-PR baseline" in text
-        matching = BenchResult(**{**quick_result.to_dict(), "budget": 60.0})
-        assert "speedup vs pre-PR baseline" in render_bench([matching])
-
 
 class TestRegressionGate:
-    def _committed(self, result, iters_per_sec):
-        reference = dict(result.to_dict(), iters_per_sec=iters_per_sec)
-        return {"results": {result.key: reference}}
-
     def test_passes_within_the_allowance(self, quick_result):
-        committed = self._committed(
-            quick_result, quick_result.iters_per_sec * 1.2
-        )
-        assert check_regression([quick_result], committed,
-                                max_regression=0.25) == []
+        history = _history(quick_result,
+                           iters_per_sec=quick_result.iters_per_sec * 1.2)
+        assert check_regression([quick_result], history) == []
 
     def test_fails_beyond_the_allowance(self, quick_result):
-        committed = self._committed(
-            quick_result, quick_result.iters_per_sec * 2.0
-        )
-        failures = check_regression([quick_result], committed,
-                                    max_regression=0.25)
+        history = _history(quick_result,
+                           iters_per_sec=quick_result.iters_per_sec * 2.0)
+        failures = check_regression([quick_result], history)
         assert len(failures) == 1
         assert "regression" in failures[0]
+        events = _history(quick_result, events_examined_per_iter=(
+            quick_result.events_examined_per_iter / 2))
+        failures = check_regression([quick_result], events)
+        assert len(failures) == 1 and "events-examined/iter" in failures[0]
 
     def test_skips_scenarios_absent_from_the_committed_artifact(
             self, quick_result):
-        assert check_regression([quick_result], {"results": {}}) == []
+        assert check_regression([quick_result], {}) == []
 
     def test_only_gates_matching_protocols(self, quick_result):
         budget = BenchResult(**{**quick_result.to_dict(),
                                 "mode": "budget_s", "budget": 10.0})
-        committed = self._committed(
-            quick_result, quick_result.iters_per_sec * 10
-        )
-        # The committed entry is fixed-iteration; the budget run's key
+        history = _history(quick_result,
+                           iters_per_sec=quick_result.iters_per_sec * 10)
+        # The recorded entry is fixed-iteration; the budget run's key
         # differs, so no comparison happens.
-        assert check_regression([budget], committed) == []
+        assert check_regression([budget], history) == []
+
+    def test_gates_against_the_strictest_recorded_figure(self, quick_result):
+        fast = dict(quick_result.to_dict(), source="a",
+                    iters_per_sec=quick_result.iters_per_sec * 2.0)
+        slow = dict(quick_result.to_dict(), source="b",
+                    iters_per_sec=quick_result.iters_per_sec * 0.5)
+        for entries in ([fast, slow], [slow, fast]):
+            failures = check_regression([quick_result],
+                                        {quick_result.key: entries})
+            assert len(failures) == 1 and "iters/sec" in failures[0]
 
 
 class TestCommittedArtifact:
-    """The BENCH_pr3.json committed in the repository."""
+    """The BENCH.json committed in the repository."""
 
-    REPO = Path(__file__).resolve().parent.parent
+    #: The bounds the nine per-artifact CI steps enforced before the
+    #: suite existed: key -> (iters/sec floor, events/iter ceiling).
+    #: Each is 0.75x the highest / 1.25x the lowest figure any artifact
+    #: holding the key recorded (quickstart@60it: pr5's 48.72 it/s and
+    #: pr3's 13,626 events/iter).  Budget protocols have no ceiling.
+    PER_STEP_BOUNDS = {
+        "quickstart@60it": (0.75 * 48.7239, 1.25 * 13626.233),
+        "quickstart@10s": (0.75 * 16.6931, None),
+        "contract-ablation@40it": (0.75 * 17.4967, 1.25 * 17424.675),
+        "spec-cpu-quickstart@120it": (0.75 * 191.821, 1.25 * 1055.625),
+        "composed-clauses@40it": (0.75 * 15.3057, 1.25 * 6690.075),
+        "quickstart-pruned@60it": (0.75 * 29.0244, 1.25 * 14355.967),
+        "quickstart@60it+telemetry": (0.75 * 38.7734, 1.25 * 14355.967),
+        "quickstart@60it+checkpoint": (0.75 * 37.1357, 1.25 * 14355.967),
+        "quickstart@2x2s-scaling": (None, None),
+    }
 
-    def test_exists_and_records_both_sides(self):
-        payload = load_bench(self.REPO / "BENCH_pr3.json")
-        assert payload["baseline"]["iters_per_sec"] > 0
-        quickstart = payload["results"]["quickstart@60it"]
-        assert quickstart["iters_per_sec"] > 0
-        assert payload["speedup_vs_baseline"] >= 2.0
+    def test_every_suite_protocol_has_an_entry(self, committed):
+        assert set(self.PER_STEP_BOUNDS) == set(SUITE)
+        assert [key for key in SUITE if not committed.get(key)] == []
 
-    def test_smoke_budget_entry_present_for_the_ci_gate(self):
-        payload = load_bench(self.REPO / "BENCH_pr3.json")
-        assert "quickstart@10s" in payload["results"]
+    @pytest.mark.parametrize("key", sorted(PER_STEP_BOUNDS))
+    def test_derived_bounds_equal_the_per_step_bounds(self, committed, key):
+        migrated = [entry for entry in committed[key]
+                    if entry["source"].startswith("pr")]
+        expected = self.PER_STEP_BOUNDS[key]
+        assert gate_bounds(key, migrated) == pytest.approx(expected,
+                                                           rel=1e-5)
+        # Entries recorded since can only tighten the gate.
+        floor, ceiling = gate_bounds(key, committed[key])
+        if expected[0] is not None:
+            assert floor >= expected[0] * (1 - 1e-5)
+        if expected[1] is not None:
+            assert ceiling <= expected[1] * (1 + 1e-5)
 
-    def test_pr4_contract_entry_present_for_the_ci_gate(self):
-        # The contract-mode gate: a fixed-protocol contract-ablation
-        # entry with both the wall-clock and the machine-independent
-        # events-examined figures the bench-smoke job compares against.
-        payload = load_bench(self.REPO / "BENCH_pr4.json")
-        assert payload["bench"] == "pr4"
-        # The pr4 artifact's baseline is the contract pathway's own
-        # introduction figure, not the quickstart number.
-        assert payload["baseline"]["scenario"] == "contract-ablation"
-        entry = payload["results"]["contract-ablation@40it"]
-        assert entry["iters_per_sec"] > 0
-        assert entry["events_examined_per_iter"] > 0
-        assert entry["mode"] == "iterations"
+    def test_exists_and_records_both_sides(self, committed):
+        # The before (the first entry) and the best figure since.
+        quickstart = committed["quickstart@60it"]
+        assert quickstart[0]["source"] == "pr3"
+        assert quickstart[0]["iters_per_sec"] == pytest.approx(26.34,
+                                                               abs=0.01)
+        best = max(quickstart, key=lambda entry: entry["iters_per_sec"])
+        assert best["source"] == "pr5"
 
-    def test_pr6_rtl_entry_present_for_the_ci_gate(self):
-        # The Verilog-route gate: a fixed-protocol spec-cpu-quickstart
-        # entry (the scenario's own 12-iteration budget is too short to
-        # time, so the pinned protocol runs 120).  events/iter doubles
-        # as a cross-process determinism check on the RTL route.
-        payload = load_bench(self.REPO / "BENCH_pr6.json")
-        assert payload["bench"] == "pr6"
-        entry = payload["results"]["spec-cpu-quickstart@120it"]
-        assert entry["iters_per_sec"] > 0
-        assert entry["events_examined_per_iter"] > 0
-        assert entry["mode"] == "iterations"
+    def test_smoke_budget_entry_present_for_the_ci_gate(self, committed):
+        entry = committed["quickstart@10s"][0]
+        assert entry["source"] == "pr3" and entry["mode"] == "budget_s"
+
+    def test_pr4_contract_entry_present_for_the_ci_gate(self, committed):
+        entries = committed["contract-ablation@40it"]
+        assert [entry["source"] for entry in entries[:2]] == ["pr4", "pr5"]
+        for entry in entries:
+            assert entry["mode"] == "iterations"
+            assert entry["events_examined_per_iter"] > 0
+
+    def test_pr6_rtl_entry_present_for_the_ci_gate(self, committed):
+        entry = committed["spec-cpu-quickstart@120it"][0]
+        assert entry["source"] == "pr6"
         assert entry["iterations"] == 120
+        assert entry["events_examined_per_iter"] > 0
 
-    def test_baseline_for_selects_by_artifact_tag(self, tmp_path):
-        from repro.perf import (
-            PR4_CONTRACT_BASELINE,
-            PRE_PR_BASELINE,
-            baseline_for,
-        )
-
-        assert baseline_for("BENCH_pr3.json") is PRE_PR_BASELINE
-        assert baseline_for(tmp_path / "BENCH_pr4.json") is \
-            PR4_CONTRACT_BASELINE
-        assert baseline_for("somewhere/else.json") is PRE_PR_BASELINE
-
-    def test_emit_bench_tag_follows_the_artifact_name(self, tmp_path):
-        from repro.perf import emit_bench, run_bench
-
-        result = run_bench("quickstart", iterations=1)
-        payload = emit_bench([result], path=tmp_path / "BENCH_pr4.json")
-        assert payload["bench"] == "pr4"
-        payload = emit_bench([result], path=tmp_path / "custom.json")
-        assert payload["bench"] == "custom"
+    def test_every_entry_keeps_its_source_artifact_name(self, committed):
+        tags = {f"pr{n}" for n in range(3, 11)}
+        migrated = {entry["source"] for entries in committed.values()
+                    for entry in entries if entry["source"] in tags}
+        assert migrated == tags
+        for entries in committed.values():
+            for entry in entries:
+                assert entry["source"] in tags or \
+                    entry["source"].startswith("record ")
+                assert "peak_rss_kb" not in entry
 
 
 @pytest.mark.slow
 class TestBenchCli:
-    REPO = Path(__file__).resolve().parent.parent
-
     def test_bench_command_emits_artifact(self, tmp_path):
-        out = tmp_path / "BENCH_pr3.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "bench",
-             "--iterations", "3", "--out", str(out)],
-            capture_output=True, text=True, cwd=self.REPO,
-            env={"PYTHONPATH": str(self.REPO / "src"), "PATH": "/usr/bin:/bin"},
-        )
+        for _ in range(2):
+            proc = _bench_cli("quickstart@3it", "--record", cwd=tmp_path)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.startswith("quickstart@3it: ")
+        history = load_bench(tmp_path / "BENCH.json")
+        assert [entry["iterations"] for entry in
+                history["quickstart@3it"]] == [3, 3]
+
+    def test_check_leaves_bench_json_byte_identical(self):
+        before = (REPO / "BENCH.json").read_bytes()
+        proc = _bench_cli("quickstart@3it", "--check", cwd=REPO)
         assert proc.returncode == 0, proc.stderr
-        assert "pre-PR baseline" in proc.stdout
-        payload = json.loads(out.read_text())
-        assert payload["results"]["quickstart@3it"]["iterations"] == 3
+        assert "bench gate passed" in proc.stdout
+        assert (REPO / "BENCH.json").read_bytes() == before
+
+    def test_check_fails_on_a_regression_and_without_history(self, tmp_path):
+        proc = _bench_cli("quickstart@3it", "--check", cwd=tmp_path)
+        assert proc.returncode == 2 and "BENCH.json" in proc.stderr
+        record_bench([run_bench("quickstart", iterations=3)],
+                     path=tmp_path / "BENCH.json")
+        history = load_bench(tmp_path / "BENCH.json")
+        history["quickstart@3it"][0]["iters_per_sec"] = 1e9
+        (tmp_path / "BENCH.json").write_text(
+            json.dumps({"history": history}))
+        proc = _bench_cli("quickstart@3it", "--check", cwd=tmp_path)
+        assert proc.returncode == 1
+        assert "REGRESSION: quickstart@3it" in proc.stderr
 
 
 class TestScenarioRequests:
     def test_plain_name_passes_through(self):
-        from repro.perf import parse_scenario_request
-
-        assert parse_scenario_request("quickstart") == ("quickstart", None)
+        assert parse_protocol("quickstart") == Protocol("quickstart")
 
     def test_pinned_budget_parses(self):
-        from repro.perf import parse_scenario_request
+        assert parse_protocol("contract-ablation@40it") == \
+            Protocol("contract-ablation", iterations=40)
+        assert parse_protocol("quickstart@10s") == \
+            Protocol("quickstart", budget_s=10.0)
+        assert parse_protocol("quickstart@60it+checkpoint") == \
+            Protocol("quickstart", iterations=60, variant="checkpoint")
+        assert parse_protocol("quickstart@2x2s-scaling") == \
+            Protocol("quickstart", budget_s=2.0, shards=2)
 
-        assert parse_scenario_request("contract-ablation@40") == \
-            ("contract-ablation", 40)
-
-    @pytest.mark.parametrize("bad", ["quickstart@", "quickstart@x",
-                                     "quickstart@0", "quickstart@-3"])
+    @pytest.mark.parametrize("bad", [
+        "quickstart@", "quickstart@x", "quickstart@0", "quickstart@-3",
+        "quickstart@60", "quickstart@60it+bogus", "quickstart@1x2s-scaling",
+        "quickstart@2x2s-scaling+telemetry",
+    ])
     def test_malformed_requests_fail_loudly(self, bad):
-        from repro.perf import BenchError, parse_scenario_request
-
         with pytest.raises(BenchError):
-            parse_scenario_request(bad)
+            parse_protocol(bad)
 
 
 class TestMultiEntryBaseline:
-    def test_pr5_baseline_resolves_per_protocol(self):
-        from repro.perf import PR5_BASELINE, baseline_entries, baseline_for
+    """A protocol's recorded history holds several entries, and the gate
+    resolves each bound per protocol across all of them."""
 
-        assert baseline_for("BENCH_pr5.json") is PR5_BASELINE
-        entries = baseline_entries(PR5_BASELINE)
-        assert set(entries) == {"quickstart@60it", "contract-ablation@40it"}
+    def test_pr5_baseline_resolves_per_protocol(self, committed):
+        for key in ("quickstart@60it", "contract-ablation@40it"):
+            pr5 = next(entry for entry in committed[key]
+                       if entry["source"] == "pr5")
+            floor, _ = gate_bounds(key, committed[key])
+            assert floor >= 0.75 * pr5["iters_per_sec"]
 
-    def test_pr6_baseline_resolves_per_protocol(self):
-        from repro.perf import (
-            PR6_RTL_BASELINE,
-            baseline_entries,
-            baseline_for,
-        )
+    def test_pr6_baseline_resolves_per_protocol(self, committed):
+        # The Verilog route gates on its recorded pr6 result (191.8), not
+        # on the never-gated 200 it/s introduction estimate.
+        floor, _ = gate_bounds("spec-cpu-quickstart@120it",
+                               committed["spec-cpu-quickstart@120it"][:1])
+        assert floor == pytest.approx(0.75 * 191.821, rel=1e-5)
 
-        assert baseline_for("BENCH_pr6.json") is PR6_RTL_BASELINE
-        entries = baseline_entries(PR6_RTL_BASELINE)
-        assert set(entries) == {"spec-cpu-quickstart@120it"}
+    def test_legacy_baseline_keys_like_results(self, committed,
+                                               quick_result):
+        assert parse_protocol(quick_result.key).iterations == 4
+        for key, entries in committed.items():
+            parse_protocol(key)
+            for entry in entries:
+                if "mode" in entry:
+                    assert BenchResult(**{
+                        name: entry[name] for name in quick_result.to_dict()
+                    }).key == key
 
-    def test_legacy_baseline_keys_like_results(self):
-        from repro.perf import baseline_entries
-
-        entries = baseline_entries(PRE_PR_BASELINE)
-        assert list(entries) == ["quickstart@60it"]
-
-    def test_speedups_match_protocols_only(self, quick_result):
-        from repro.perf import PR5_BASELINE, speedups_vs_baseline
-
-        # quickstart@4it matches no committed protocol: no speedup rows.
-        assert speedups_vs_baseline([quick_result], PR5_BASELINE) == {}
-
-    def test_render_handles_multi_entry_baselines(self, quick_result):
-        from repro.perf import PR5_BASELINE
-
-        table = render_bench([quick_result], baseline=PR5_BASELINE)
-        assert "quickstart@60it (pre-PR baseline)" in table
-        assert "contract-ablation@40it (pre-PR baseline)" in table
+    def test_render_handles_multi_entry_baselines(self, committed):
+        listing = render_bench_list(committed)
+        row = next(line for line in listing.splitlines()
+                   if line.startswith("contract-ablation@40it "))
+        assert "10.40 it/s (pr4)" in row and "13.12" in row
 
 
 class TestScaling:
@@ -302,75 +346,74 @@ class TestScaling:
     def scaling(self):
         from repro.perf import run_scaling_bench
 
-        return run_scaling_bench(
-            "quickstart", shards=2, budget_s=0.3, jobs_list=(1, 2),
-            check_iterations=4,
-        )
+        return run_scaling_bench("quickstart", shards=2, budget_s=0.3,
+                                 check_iterations=4)
 
     def test_scaling_measures_every_jobs_count(self, scaling):
-        assert set(scaling.wall_seconds) == {1, 2}
+        assert set(scaling.wall_seconds) == {"jobs=1", "jobs=2"}
         assert all(seconds > 0 for seconds in scaling.wall_seconds.values())
         assert scaling.speedup == pytest.approx(
-            scaling.wall_seconds[1] / scaling.wall_seconds[2]
+            scaling.wall_seconds["jobs=1"] / scaling.wall_seconds["jobs=2"]
         )
 
     def test_scaling_merges_are_deterministic(self, scaling):
         assert scaling.deterministic is True
 
     def test_scaling_serialises_with_jobs_labels(self, scaling):
-        payload = scaling.to_dict()
+        payload = json.loads(json.dumps(scaling.to_dict()))
         assert set(payload["wall_seconds"]) == {"jobs=1", "jobs=2"}
-        assert payload["key"] == "quickstart@2x0.3s-scaling"
+        assert scaling.key == "quickstart@2x0.3s-scaling"
 
     def test_check_scaling_gates_speedup_and_determinism(self, scaling):
-        from dataclasses import replace
-
-        from repro.perf import check_scaling
-
-        assert check_scaling(scaling, min_speedup=0.01) == []
-        failures = check_scaling(scaling, min_speedup=1e9)
+        assert replace(scaling, speedup=MIN_SCALING).failures([]) == []
+        failures = replace(scaling, speedup=MIN_SCALING - 0.01).failures([])
         assert failures and "faster than jobs=1" in failures[0]
-        broken = replace(scaling, deterministic=False)
-        failures = check_scaling(broken, min_speedup=0.01)
+        broken = replace(scaling, speedup=MIN_SCALING, deterministic=False)
+        failures = check_regression([broken], {})
         assert failures and "completion order" in failures[0]
 
     def test_emit_embeds_the_scaling_entry(self, scaling, tmp_path):
-        out = tmp_path / "BENCH_pr5.json"
-        payload = emit_bench([], path=out, scaling=scaling)
-        assert payload["scaling"]["shards"] == 2
-        assert json.loads(out.read_text())["scaling"]["key"] == scaling.key
+        history = record_bench([scaling], path=tmp_path / "BENCH.json")
+        entry = history[scaling.key][0]
+        assert entry["shards"] == 2
+        assert entry["speedup"] == scaling.speedup
+        assert gate_bounds(scaling.key, [entry]) == (None, None)
 
 
 class TestBenchList:
-    def test_listing_names_protocols_and_baselines(self):
-        from repro.perf import render_bench_list
+    def test_listing_names_protocols_and_baselines(self, committed):
+        listing = render_bench_list(committed)
+        for key in SUITE:
+            assert f"\n{key} " in listing
+        assert "26.34 it/s (pr3)" in listing      # quickstart's first entry
+        assert "191.82 it/s (pr6)" in listing
+        assert "36.54" in listing                 # 0.75 x pr5's 48.72
 
-        listing = render_bench_list()
-        assert "quickstart@60it" in listing
-        assert "offline-only" in listing          # offline-analysis row
-        assert "30.23 iters/sec" in listing       # committed quickstart
-                                                  # figure (pr9 baseline)
-        assert "contract-ablation@40it: 10.40 iters/sec" in listing
-        assert "spec-cpu-quickstart@120it: 200.00 iters/sec" in listing
+    def test_listing_shows_first_and_latest_entries(self, quick_result):
+        entries = [dict(quick_result.to_dict(), source=source,
+                        iters_per_sec=speed)
+                   for source, speed in (("a", 1.0), ("b", 2.0), ("c", 3.0))]
+        row = next(line for line in render_bench_list(
+            {quick_result.key: entries}).splitlines()
+            if line.startswith(quick_result.key))
+        assert "1.00 it/s (a)" in row and "3.00 it/s (c)" in row
+        assert "(b)" not in row
+        assert "2.25" in row                      # floor: 0.75 x 3.00
 
     def test_cli_list_flag(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "bench", "--list"],
-            capture_output=True, text=True,
-            env={**__import__("os").environ, "PYTHONPATH": "src"},
-            cwd=Path(__file__).resolve().parent.parent,
-        )
+        proc = _bench_cli("--list", cwd=REPO)
         assert proc.returncode == 0, proc.stderr
-        assert "Benchable scenarios" in proc.stdout
+        assert proc.stdout == render_bench_list(
+            load_bench(REPO / "BENCH.json")) + "\n"
 
 
 class TestTelemetryOverhead:
     def test_variant_qualifies_the_key(self):
         plain = run_bench("quickstart", iterations=3)
-        instrumented = run_bench("quickstart", iterations=3, telemetry=True)
+        instrumented = run_bench("quickstart", iterations=3,
+                                 variant="telemetry")
         assert plain.key == "quickstart@3it"
         assert instrumented.key == "quickstart@3it+telemetry"
-        assert instrumented.variant == "telemetry"
         # Instrumentation observes, it does not perturb: the workload
         # executed is identical.
         assert instrumented.events_examined == plain.events_examined
@@ -380,22 +423,72 @@ class TestTelemetryOverhead:
     def test_instrumented_bench_restores_the_null_recorder(self):
         from repro import telemetry
 
-        run_bench("quickstart", iterations=3, telemetry=True)
+        run_bench("quickstart", iterations=3, variant="telemetry")
         assert not telemetry.enabled()
 
     def test_paired_measurement_and_gate(self):
-        from repro.perf import check_telemetry_overhead, run_telemetry_overhead
-
-        result = run_telemetry_overhead("quickstart", iterations=3, repeats=2)
+        result = run_paired("quickstart", iterations=3, variant="telemetry",
+                            repeats=2)
         assert result.off.key == "quickstart@3it"
-        assert result.on.key == "quickstart@3it+telemetry"
-        assert check_telemetry_overhead(result, max_overhead=1000.0) == []
-        failures = check_telemetry_overhead(result, max_overhead=-2.0)
+        assert result.on.key == result.key == "quickstart@3it+telemetry"
+        assert replace(result, overhead=MAX_OVERHEAD).failures([]) == []
+        failures = replace(result, overhead=MAX_OVERHEAD + 0.01).failures([])
         assert failures and "overhead" in failures[0]
 
-    def test_emit_bench_merges_extra_fields(self, tmp_path, quick_result):
-        out = tmp_path / "BENCH_pr9.json"
-        payload = emit_bench([quick_result], path=out,
-                             extra={"telemetry_overhead": 0.01})
-        assert payload["telemetry_overhead"] == 0.01
-        assert json.loads(out.read_text())["telemetry_overhead"] == 0.01
+    def test_paired_mode_alternates_which_side_runs_first(
+            self, monkeypatch, quick_result):
+        import repro.perf.bench as bench
+
+        calls = []
+        speeds = iter([10.0, 9.0, 8.0, 10.0, 10.0, 10.0, 5.0, 4.0])
+
+        def fake_run_bench(scenario, iterations, budget_s, variant=""):
+            calls.append(variant)
+            return replace(quick_result, variant=variant,
+                           iters_per_sec=next(speeds))
+
+        monkeypatch.setattr(bench, "run_bench", fake_run_bench)
+        result = run_paired("quickstart", iterations=4, variant="checkpoint",
+                            repeats=4)
+        assert calls == ["", "checkpoint", "checkpoint", "", "",
+                         "checkpoint", "checkpoint", ""]
+        # Per-pair off/on - 1: 10/9, 10/8, 10/10, 4/5 -> median of the
+        # middle two.
+        assert result.overhead == pytest.approx(
+            ((10 / 9 - 1) + (10 / 10 - 1)) / 2)
+        assert result.off.iters_per_sec == 10.0
+        assert result.on.iters_per_sec == 10.0
+
+    def test_record_keeps_the_paired_overhead(self, tmp_path):
+        result = run_paired("quickstart", iterations=3, variant="telemetry",
+                            repeats=1)
+        history = record_bench([result], path=tmp_path / "BENCH.json")
+        entry = history["quickstart@3it+telemetry"][0]
+        assert entry["overhead"] == round(result.overhead, 4)
+        assert entry["iters_per_sec"] == result.on.iters_per_sec
+
+
+class TestCheckpointVariant:
+    def test_checkpoint_variant_runs_the_same_workload(self, monkeypatch):
+        from repro.scenarios import checkpoint
+
+        directories = []
+        save = checkpoint.save_checkpoint
+
+        def recording_save(directory, shard, record):
+            directories.append(Path(directory))
+            save(directory, shard, record)
+
+        monkeypatch.setattr(checkpoint, "save_checkpoint", recording_save)
+        # The scenario's default cadence is 25: 26 iterations write one.
+        plain = run_bench("quickstart", iterations=26)
+        assert directories == []
+        checkpointed = run_bench("quickstart", iterations=26,
+                                 variant="checkpoint")
+        assert checkpointed.key == "quickstart@26it+checkpoint"
+        assert len(directories) == 1
+        assert not directories[0].exists()        # scratch dir removed
+        assert checkpointed.events_examined_per_iter == \
+            plain.events_examined_per_iter
+        assert checkpointed.coverage == plain.coverage
+        assert checkpointed.findings == plain.findings

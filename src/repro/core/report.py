@@ -34,7 +34,9 @@ def is_contract_kind(kind: str) -> bool:
 class CampaignReport:
     """End-of-campaign summary."""
 
-    offline: OfflineArtifacts
+    #: ``None`` only on a shard report in transit from its worker; the
+    #: dispatching parent re-attaches its own copy on arrival.
+    offline: OfflineArtifacts | None
     fuzz: CampaignResult
     stats: OnlineStats
     mst: MisspeculationTable

@@ -125,10 +125,11 @@ class Specure:
         Both are pure functions of the configuration (the core's engine
         resets exactly between programs; the offline artifacts derive
         from the netlist alone), so a process that runs many campaigns
-        against one design — a shard worker process
-        (:mod:`repro.harness.parallel`) — builds them once and hands
-        them to every Specure instead of re-elaborating the netlist and
-        re-running the offline phase per campaign.  When ``core`` is
+        against one design — a sharded campaign's parent and its forked
+        workers (:mod:`repro.harness.parallel`) — builds them once and
+        hands them to every Specure instead of re-elaborating the
+        netlist and re-running the offline phase per campaign.  When
+        ``core`` is
         given, its configuration wins (it must equal ``config``).
         """
         if core is not None and config is not None \
@@ -169,19 +170,16 @@ class Specure:
             self._offline = run_offline(self.core.offline_model())
         return self._offline
 
-    def build_online(self, offline: OfflineArtifacts | None = None) -> OnlinePhase:
+    def build_online(self) -> OnlinePhase:
         """A fresh online pipeline wired with every configured knob.
 
         The single construction point the campaign builder, the finding
         minimizer, and replay all share, so detector configuration can
         never drift between the fuzzing loop and its re-checkers.
-        ``offline`` injects precomputed artifacts (they are a pure
-        function of the configuration) to skip re-running the offline
-        phase; by default this Specure's own cached artifacts are used.
         """
         return OnlinePhase(
             self.core,
-            offline if offline is not None else self.offline(),
+            self.offline(),
             coverage=self.coverage,
             monitor_dcache=self.monitor_dcache,
             detector=self.detector,

@@ -34,16 +34,19 @@ contract.  ``jobs<=1`` runs the units in an inline loop in this
 process; ``jobs>1`` (or a :class:`RetryPolicy` with ``isolate``) hands
 them to the **worker fleet** (:class:`_WorkerFleet`): worker processes
 that live for the process lifetime (one fork per jobs count, not one
-per campaign), each behind its own pipe.  Workers keep **shared
-read-only statics** per ``(design, config)`` — the elaborated netlist
-or RTL design inside a reusable PUT backend
+per campaign), each behind its own pipe.  Every process keeps
+**shared read-only statics** per ``(design, config)`` — the elaborated
+netlist or RTL design inside a reusable PUT backend
 (:func:`repro.puts.base.build_put`), its decode caches, and the offline
-artifacts (:func:`shared_statics`) — so a shard costs exactly its
-fuzzing loop.  Each shard is one deterministic work unit (unit id =
-spec position) handed to whichever worker is idle, so a slow unit
-never idles the others; results are re-assembled by unit id
-(:func:`map_shards`), keeping merged reports byte-identical to serial
-runs whatever the completion order.  The fleet replaces a worker that
+artifacts (:func:`shared_statics`).  :class:`ShardDispatch` builds them
+in the parent before the first unit is dispatched, so a fleet forked
+afterwards inherits them and a shard costs exactly its fuzzing loop;
+shard reports travel back without their offline artifacts.  Each shard
+is one deterministic work unit (unit id = spec position) handed to
+whichever worker is idle, so a slow unit never idles the others;
+results are re-assembled by unit id (:func:`map_shards`), keeping
+merged reports byte-identical to serial runs whatever the completion
+order.  The fleet replaces a worker that
 dies, and its watchdog kills one whose unit stops making progress.
 
 Every call runs under a :class:`RetryPolicy` — by default one attempt,
@@ -68,7 +71,8 @@ Merge semantics
   counted).
 * :func:`merge_reports` combines full :class:`CampaignReport` shards
   using all of the above; the offline artifacts are taken from the
-  first shard (they are a pure function of the configuration).
+  first shard (the parent's one copy, re-attached on arrival by
+  :class:`ShardDispatch`).
 """
 
 from __future__ import annotations
@@ -83,6 +87,7 @@ from dataclasses import dataclass, replace
 from multiprocessing import connection
 from pathlib import Path
 
+from repro import telemetry
 from repro.core.offline import OfflineArtifacts, run_offline
 from repro.core.report import CampaignReport
 from repro.core.specure import Specure
@@ -149,13 +154,16 @@ def shared_statics(config) -> tuple[Put, OfflineArtifacts]:
     Safe to share across work units because both are exact under reuse:
     the engine resets byte-identically between programs (pinned by
     ``tests/test_engine_reuse.py``) and the offline artifacts depend on
-    the design alone.
+    the design alone.  Lookups count as ``harness.statics.hits`` /
+    ``harness.statics.misses`` in the telemetry registry.
     """
     key = statics_key(config)
     hit = _WORKER_STATICS.get(key)
     if hit is not None:
+        telemetry.count("harness.statics.hits")
         _WORKER_STATICS.move_to_end(key)
         return hit
+    telemetry.count("harness.statics.misses")
     core = build_put(config)
     value = (core, run_offline(core.offline_model()))
     _WORKER_STATICS[key] = value
@@ -684,6 +692,38 @@ def merge_reports(reports: list[CampaignReport]) -> CampaignReport:
 # Sharded runners
 # ----------------------------------------------------------------------
 
+class ShardDispatch:
+    """One campaign's shard dispatch from the parent's shared statics.
+
+    The offline phase runs once per processor under test (§3.1), and so
+    does a sharded campaign.  Construction rebuilds the parent's
+    :class:`Specure` on :func:`shared_statics` before any unit is
+    dispatched, so a worker fleet forked afterwards inherits the PUT and
+    its offline artifacts copy-on-write.  (A fleet forked earlier, for
+    another design, builds its own on first use.)  The shard worker
+    returns its report with ``offline=None`` — the artifacts are the
+    bulk of a pickled report — and :meth:`receive` re-attaches the
+    parent's one copy as each shard arrives.
+    """
+
+    def __init__(self, specure: Specure):
+        core, offline = shared_statics(specure.config)
+        self.specure = Specure(core=core, offline=offline,
+                               seed=specure.seed, **specure.knobs())
+
+    def receive(self, units):
+        """Re-yield the ``(task, result)`` pairs of an :func:`imap_shards`
+        stream, each ``(report, corpus)`` result's report carrying the
+        parent's offline artifacts; :class:`UnitFailure` markers pass
+        through unchanged."""
+        offline = self.specure.offline()
+        for task, result in units:
+            if not isinstance(result, UnitFailure):
+                report, corpus = result
+                result = replace(report, offline=offline), corpus
+            yield task, result
+
+
 def run_shards(specure: Specure, shards: int, jobs: int | None,
                **budget) -> CampaignReport:
     """Run ``shards`` campaigns of ``specure``'s configuration, shard
@@ -697,10 +737,14 @@ def run_shards(specure: Specure, shards: int, jobs: int | None,
 
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    tasks = [ShardTask.of(specure, shard, **budget)
+    dispatch = ShardDispatch(specure)
+    tasks = [ShardTask.of(dispatch.specure, shard, **budget)
              for shard in range(shards)]
-    results = map_shards(_execute_shard, tasks, jobs)
-    return merge_reports([report for report, _corpus in results])
+    reports = {
+        task.shard: report for task, (report, _corpus)
+        in dispatch.receive(imap_shards(_execute_shard, tasks, jobs))
+    }
+    return merge_reports([reports[shard] for shard in range(shards)])
 
 
 def run_sharded_campaign(

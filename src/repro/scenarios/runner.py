@@ -58,6 +58,7 @@ from repro.fuzz.input import TestProgram
 from repro.fuzz.trim import trim_program
 from repro.harness.parallel import (
     RetryPolicy,
+    ShardDispatch,
     ShardExecutionError,
     UnitFailure,
     imap_shards,
@@ -270,7 +271,9 @@ def _run_shard_campaign(
         start_iteration=start_iteration,
         resume_result=resume_result,
     )
-    return report, _shard_corpus(campaign)
+    # The offline artifacts stay behind: the dispatching parent holds
+    # its own copy and re-attaches it (ShardDispatch.receive).
+    return replace(report, offline=None), _shard_corpus(campaign)
 
 
 def _execute_shard(
@@ -280,11 +283,12 @@ def _execute_shard(
     path — scenarios, ``Specure.sharded_campaign``, the
     ``run_sharded_*`` runners and the scaling bench — dispatches.
 
-    Returns the shard report plus the fuzzer's retained corpus entries,
-    which only exist inside the campaign object and must surface here to
-    be persisted.  The core and the offline artifacts come from the
-    executing process's shared statics — one netlist elaboration and one
-    offline phase per process lifetime, not one per shard.
+    Returns the shard report, with ``offline=None``, plus the fuzzer's
+    retained corpus entries, which only exist inside the campaign object
+    and must surface here to be persisted.  The core and the offline
+    artifacts come from the executing process's shared statics, which a
+    forked worker inherits from the dispatching parent
+    (:class:`~repro.harness.parallel.ShardDispatch`).
 
     With a ``telemetry_dir`` the shard streams a
     ``telemetry/shard-<k>.jsonl`` heartbeat log and dumps its
@@ -364,25 +368,20 @@ def _contained_run_once(online: OnlinePhase, program: TestProgram):
 class _Minimizer:
     """Trims finding programs against a lazily-built online pipeline."""
 
-    def __init__(self, spec: ScenarioSpec, specure):
-        self._spec = spec
+    def __init__(self, specure):
         self._specure = specure
         self._online: OnlinePhase | None = None
 
-    def _pipeline(self, offline: OfflineArtifacts) -> OnlinePhase:
+    def _pipeline(self) -> OnlinePhase:
         if self._online is None:
-            self._online = self._specure.build_online(offline=offline)
+            self._online = self._specure.build_online()
         return self._online
 
-    def minimize(self, findings: list[FuzzFinding],
-                 offline: OfflineArtifacts) -> dict[int, TestProgram]:
-        """``offline`` is the shard report's own artifacts — a pure
-        function of the configuration, so reusing them avoids paying the
-        offline phase again in the parent."""
+    def minimize(self, findings: list[FuzzFinding]) -> dict[int, TestProgram]:
         minimized: dict[int, TestProgram] = {}
         recorder = telemetry.recorder()
         for index, finding in enumerate(findings):
-            online = self._pipeline(offline)
+            online = self._pipeline()
 
             def still_leaks(program, kind=finding.kind,
                             detail=finding.detail):
@@ -565,11 +564,8 @@ def _drive_campaign(
     resumed: list[int],
     telemetry_dir: str | None,
 ) -> ScenarioOutcome:
-    # The parent's Specure computes offline artifacts only when actually
-    # needed (offline-only scenarios, resume, minimization): every shard
-    # worker builds its own, and the merged report takes shard 0's, so
-    # the common fresh-run path never pays the offline phase twice.
-    specure = spec.build_specure()
+    dispatch = ShardDispatch(spec.build_specure())
+    specure = dispatch.specure
 
     if spec.iterations == 0:
         # Offline-only scenario: no shards, no fuzzing, no merged report.
@@ -594,14 +590,14 @@ def _drive_campaign(
         if shard not in resumed
     ]
     policy = _resilience_policy(spec, telemetry_dir)
-    minimizer = _Minimizer(spec, specure)
+    minimizer = _Minimizer(specure)
     recorder = telemetry.recorder()
     fresh: dict[int, CampaignReport] = {}
     failures: dict[int, UnitFailure] = {}
     executed: list[int] = []
     try:
-        for task, result in imap_shards(_execute_shard, tasks, jobs,
-                                        policy):
+        for task, result in dispatch.receive(
+                imap_shards(_execute_shard, tasks, jobs, policy)):
             shard = task.shard
             if isinstance(result, UnitFailure):
                 failures[shard] = result
@@ -613,7 +609,7 @@ def _drive_campaign(
             report, corpus = result
             if store is not None:
                 minimized = (
-                    minimizer.minimize(report.fuzz.findings, report.offline)
+                    minimizer.minimize(report.fuzz.findings)
                     if minimize and report.fuzz.findings else {}
                 )
                 with recorder.span("store/persist"):
@@ -637,13 +633,7 @@ def _drive_campaign(
     executed.sort()  # completion order varies across fleet workers
     quarantined = [failures[shard] for shard in sorted(failures)]
 
-    # Offline artifacts for store-loaded shards: reuse a fresh shard's
-    # (they are a pure function of the configuration) before paying for
-    # a recomputation.
-    if fresh:
-        offline = fresh[min(fresh)].offline
-    else:
-        offline = specure.offline()
+    offline = specure.offline()
     ordered = []
     for shard in range(spec.shards):
         if shard in failures:

@@ -10,9 +10,12 @@ Covers the executor semantics the campaign layers rely on:
 * a unit exception surfaces as :class:`ShardExecutionError` naming the
   failing shard at every jobs count — with the fleet torn down
   promptly, or inline with the original exception as ``__cause__``;
-* zero units never start a fleet.
+* zero units never start a fleet;
+* a campaign's per-PUT statics are built once, in the parent, and
+  shard results come back without offline artifacts.
 """
 
+import os
 import time
 
 import pytest
@@ -253,3 +256,99 @@ class TestScenarioRunnerIntegration:
         assert outcome.resumed_shards == [0, 1]
         assert outcome.executed_shards == [2]
         assert outcome.report is not None
+
+
+# -- per-PUT statics: built once in the parent, never shipped back ---------
+
+def _stored_sweep():
+    """Four one-iteration shards whose findings all minimize."""
+    from repro.scenarios import get_scenario
+
+    return get_scenario("dcache-monitor-sweep").override(
+        iterations=1, shards=4)
+
+
+class TestParentStatics:
+    def test_jobs_counts_agree_with_minimization(self, tmp_path):
+        """jobs=1 shares the parent's PUT engine between the inline
+        shards and the minimizer; jobs=2 runs shards on forked copies.
+        Reports and the minimized programs must not tell them apart.
+        Finding records are appended as shards complete, so their
+        order follows the fleet's completion order."""
+        from repro.scenarios.runner import run_scenario
+
+        spec = _stored_sweep()
+        runs = [tmp_path / f"j{jobs}" for jobs in (1, 2)]
+        for jobs, run_dir in zip((1, 2), runs):
+            run_scenario(spec, run_dir=run_dir, jobs=jobs, minimize=True)
+        reports, findings = [], []
+        for run_dir in runs:
+            reports.append((run_dir / "report.txt").read_bytes())
+            findings.append(sorted(
+                (run_dir / "findings.jsonl").read_bytes().splitlines()))
+        assert reports[0] == reports[1]
+        assert findings[0] == findings[1]
+        assert all(b'"minimized": {' in line for line in findings[0])
+
+    def test_forked_workers_never_rerun_the_offline_phase(
+            self, tmp_path, monkeypatch):
+        from repro.scenarios.runner import run_scenario
+
+        spec = _stored_sweep()
+        shutdown_pool()
+        parallel._WORKER_STATICS.clear()
+        parent, real_offline, runs = os.getpid(), parallel.run_offline, []
+
+        def parent_only(model):
+            if os.getpid() != parent:
+                raise AssertionError("a shard worker re-ran the offline "
+                                     "phase")
+            runs.append(model)
+            return real_offline(model)
+
+        monkeypatch.setattr(parallel, "run_offline", parent_only)
+        outcome = run_scenario(spec, run_dir=tmp_path / "run", jobs=2,
+                               minimize=True)
+        assert outcome.executed_shards == [0, 1, 2, 3]
+        assert not outcome.quarantined
+        assert len(runs) == 1
+
+    def test_shard_response_carries_no_offline_artifacts(self):
+        from multiprocessing.reduction import ForkingPickler
+
+        from repro.scenarios.runner import ShardTask, _execute_shard
+
+        spec = _stored_sweep()
+        task = ShardTask.of(spec.build_specure(), 0,
+                            iterations=spec.iterations)
+        report, corpus = _execute_shard(task)
+        assert report.offline is None
+        # What a fleet worker sends down its pipe for this unit.
+        blob = bytes(ForkingPickler.dumps((0, True, (report, corpus))))
+        assert b"OfflineArtifacts" not in blob
+        assert len(blob) < 64 * 1024
+
+    def test_dispatch_reattaches_the_parents_one_copy(self):
+        from repro.core.specure import Specure
+
+        config = _stored_sweep().build_config()
+        report = Specure(config, seed=3).sharded_campaign(
+            1, shards=2, jobs=2)
+        _core, offline = shared_statics(config)
+        assert report.offline is offline
+
+    def test_statics_cache_is_counted_per_process(self, tmp_path):
+        from repro.scenarios.runner import run_scenario
+        from repro.telemetry import load_run_telemetry
+
+        spec = _stored_sweep()
+        shutdown_pool()
+        parallel._WORKER_STATICS.clear()
+        run_scenario(spec, run_dir=tmp_path / "run", jobs=2,
+                     minimize=False, telemetry=True)
+        run = load_run_telemetry(tmp_path / "run")
+        assert run.campaign_metrics.counters["harness.statics.misses"] == 1
+        for shard in range(spec.shards):
+            counters = run.shards[shard].metrics.counters
+            assert counters["harness.statics.hits"] == 1
+            assert "harness.statics.misses" not in counters

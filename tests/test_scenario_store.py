@@ -1,6 +1,7 @@
 """Tests for the persistent campaign store: resume, replay, round-trips."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.scenarios import (
     resume_scenario,
     run_scenario,
 )
+from repro.harness.parallel import shared_statics
 from repro.scenarios.runner import ShardTask, _execute_shard
 from repro.scenarios.store import (
     STATUS_COMPLETE,
@@ -61,10 +63,14 @@ class TestShardReportRoundTrip:
         task = ShardTask.of(sweep_spec.build_specure(), 0,
                             iterations=sweep_spec.iterations)
         report, _corpus = _execute_shard(task)
+        # Shard reports travel without offline artifacts; the
+        # dispatching parent attaches its own copy, as here.
+        _core, offline = shared_statics(task.config)
+        report = replace(report, offline=offline)
         payload = json.loads(json.dumps(
             shard_report_to_dict(0, sweep_spec.seed, report)
         ))
-        loaded = shard_report_from_dict(payload, report.offline)
+        loaded = shard_report_from_dict(payload, offline)
         assert loaded.render(include_timings=False) == \
             report.render(include_timings=False)
         assert loaded.fuzz.discovery_log == report.fuzz.discovery_log

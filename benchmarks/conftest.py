@@ -11,6 +11,7 @@ import pytest
 
 from repro.boom import BoomConfig, BoomCore, VulnConfig
 from repro.core.offline import run_offline
+from repro.scenarios.spec import ScenarioSpec
 
 
 @pytest.fixture(scope="session")
@@ -27,6 +28,12 @@ def vuln_core(vuln_config):
 @pytest.fixture(scope="session")
 def offline(vuln_core):
     return run_offline(vuln_core.netlist)
+
+
+def campaign_spec(**knobs) -> ScenarioSpec:
+    """A campaign on the experiment configuration: the scenario defaults
+    are the small core with both hooks armed, i.e. ``vuln_config``."""
+    return ScenarioSpec(name="benchmark", **knobs)
 
 
 def emit(text: str) -> None:

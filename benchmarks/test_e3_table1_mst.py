@@ -12,18 +12,17 @@ format.
 
 import pytest
 
-from repro.core.online import OnlinePhase
 from repro.core.specure import Specure
 from repro.detection.windows import extract_windows
 from repro.fuzz.seeds import special_seeds
 from repro.isa.instructions import decode
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import campaign_spec, emit
 
 
-def build_mst(vuln_config):
-    specure = Specure(vuln_config, seed=21, coverage="lp")
-    online = OnlinePhase(specure.core, specure.offline())
+def build_mst():
+    specure = Specure(campaign_spec(seed=21, coverage="lp"))
+    online = specure.build_online()
     ground_truth = 0
     for seed in special_seeds():
         result = specure.core.run(seed)
@@ -33,9 +32,9 @@ def build_mst(vuln_config):
     return online.mst, report.mst, ground_truth
 
 
-def test_e3_misspeculation_table(benchmark, vuln_config):
+def test_e3_misspeculation_table(benchmark):
     seed_mst, campaign_mst, ground_truth = benchmark.pedantic(
-        build_mst, args=(vuln_config,), rounds=1, iterations=1
+        build_mst, rounds=1, iterations=1
     )
     emit(seed_mst.render(limit=12))
     emit(f"(campaign MST accumulated {len(campaign_mst)} further rows "

@@ -21,20 +21,18 @@ import pytest
 
 from repro.baselines.exhaustive import ExhaustiveChecker
 from repro.baselines.specdoctor import SpecDoctor
-from repro.core.online import OnlinePhase
 from repro.core.specure import Specure
 from repro.fuzz.triggers import all_triggers, spectre_v2_secret_trigger
 from repro.utils.text import ascii_table
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import campaign_spec, emit
 
 KINDS = ("spectre_v1", "spectre_v2", "mwait", "zenbleed")
 
 
-def specure_row(vuln_config):
-    specure = Specure(vuln_config, seed=1, monitor_dcache=True)
-    online = OnlinePhase(specure.core, specure.offline(),
-                         monitor_dcache=True)
+def specure_row():
+    specure = Specure(campaign_spec(seed=1, monitor_dcache=True))
+    online = specure.build_online()
     detected = set()
     for kind, program in all_triggers().items():
         _, reports = online.run_once(program)
@@ -67,12 +65,12 @@ def mark(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def test_e4_table2_detection_matrix(benchmark, vuln_config, vuln_core, offline):
+def test_e4_table2_detection_matrix(benchmark, vuln_core, offline):
     def run_all():
         return (
             specdoctor_row(vuln_core),
             exhaustive_row(vuln_core, offline),
-            specure_row(vuln_config),
+            specure_row(),
         )
 
     specdoctor, (exhaustive, outcome), specure = benchmark.pedantic(

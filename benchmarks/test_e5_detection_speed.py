@@ -22,7 +22,7 @@ from repro.baselines.specdoctor import SpecDoctor
 from repro.core.specure import Specure, stop_on_kind
 from repro.utils.text import ascii_table
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import campaign_spec, emit
 
 #: Multi-minute campaign benchmark: opt in with ``-m slow``.
 pytestmark = pytest.mark.slow
@@ -30,11 +30,11 @@ pytestmark = pytest.mark.slow
 BUDGET = 600
 
 
-def specure_spectre(vuln_config, use_seeds: bool) -> int | None:
-    specure = Specure(
-        vuln_config, seed=3, coverage="lp", monitor_dcache=True,
+def specure_spectre(use_seeds: bool) -> int | None:
+    specure = Specure(campaign_spec(
+        seed=3, coverage="lp", monitor_dcache=True,
         use_special_seeds=use_seeds,
-    )
+    ))
     report = specure.campaign(BUDGET, stop_when=stop_on_kind("spectre_v1"))
     iteration = report.first_detection_iteration("spectre_v1")
     return None if iteration is None else iteration + 1
@@ -46,8 +46,9 @@ def specdoctor_spectre(vuln_core) -> int | None:
     return findings[0].iteration + 1 if findings else None
 
 
-def specure_zenbleed(vuln_config) -> int | None:
-    specure = Specure(vuln_config, seed=3, coverage="lp", monitor_dcache=True)
+def specure_zenbleed() -> int | None:
+    specure = Specure(campaign_spec(seed=3, coverage="lp",
+                                    monitor_dcache=True))
     report = specure.campaign(BUDGET, stop_when=stop_on_kind("zenbleed"))
     iteration = report.first_detection_iteration("zenbleed")
     return None if iteration is None else iteration + 1
@@ -69,13 +70,13 @@ def fmt(iteration: int | None) -> str:
     return str(iteration) if iteration is not None else f">{BUDGET} (not found)"
 
 
-def test_e5_detection_speed(benchmark, vuln_config, vuln_core):
+def test_e5_detection_speed(benchmark, vuln_core):
     def run_all():
         return (
-            specure_spectre(vuln_config, use_seeds=True),
-            specure_spectre(vuln_config, use_seeds=False),
+            specure_spectre(use_seeds=True),
+            specure_spectre(use_seeds=False),
             specdoctor_spectre(vuln_core),
-            specure_zenbleed(vuln_config),
+            specure_zenbleed(),
         )
 
     with_seeds, without_seeds, specdoctor, zenbleed = benchmark.pedantic(

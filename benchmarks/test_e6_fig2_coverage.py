@@ -20,7 +20,7 @@ from repro.harness.campaign import mean_curve, run_coverage_campaign
 from repro.harness.plotting import render_coverage_figure
 from repro.utils.text import ascii_table
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import campaign_spec, emit
 
 #: Multi-minute campaign benchmark: opt in with ``-m slow``.
 pytestmark = pytest.mark.slow
@@ -39,12 +39,14 @@ PAPER_SPEEDUP = 6.45
 PAPER_FINAL_GAP_PERCENT = 10.2
 
 
-def run_both_arms(vuln_config):
+def run_both_arms():
     lp_runs = run_coverage_campaign(
-        vuln_config, "lp", ITERATIONS, repeats=REPEATS, base_seed=BASE_SEED
+        campaign_spec(coverage="lp", iterations=ITERATIONS, seed=BASE_SEED),
+        repeats=REPEATS,
     )
     code_runs = run_coverage_campaign(
-        vuln_config, "code", ITERATIONS, repeats=REPEATS, base_seed=BASE_SEED
+        campaign_spec(coverage="code", iterations=ITERATIONS, seed=BASE_SEED),
+        repeats=REPEATS,
     )
     return (
         mean_curve(lp_runs, "Leakage Path (LP)"),
@@ -52,10 +54,8 @@ def run_both_arms(vuln_config):
     )
 
 
-def test_e6_fig2_coverage(benchmark, vuln_config, offline):
-    lp, code = benchmark.pedantic(
-        run_both_arms, args=(vuln_config,), rounds=1, iterations=1
-    )
+def test_e6_fig2_coverage(benchmark, offline):
+    lp, code = benchmark.pedantic(run_both_arms, rounds=1, iterations=1)
     emit(render_coverage_figure(lp, code, total_pdlc=len(offline.pdlc)))
 
     target = code.final()

@@ -19,14 +19,13 @@ import time
 import pytest
 
 from repro.baselines.thehuzz import TheHuzz
-from repro.core.online import OnlinePhase
 from repro.core.specure import Specure
 from repro.fuzz.mutations import MutationEngine
 from repro.fuzz.seeds import special_seeds
 from repro.utils.rng import DeterministicRng
 from repro.utils.text import ascii_table
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import campaign_spec, emit
 
 PROGRAMS = 40
 PAPER_OVERHEAD_PERCENT = 82.0
@@ -42,12 +41,12 @@ def shared_inputs():
     return programs
 
 
-def measure(vuln_config, vuln_core, offline):
+def measure(vuln_core, offline):
     programs = shared_inputs()
 
-    specure = Specure(vuln_config, seed=1, monitor_dcache=True)
-    online = OnlinePhase(specure.core, offline, coverage="lp",
-                         monitor_dcache=True)
+    specure = Specure(campaign_spec(seed=1, coverage="lp",
+                                    monitor_dcache=True), offline=offline)
+    online = specure.build_online()
     started = time.perf_counter()
     for program in programs:
         online.evaluate(program)
@@ -62,9 +61,9 @@ def measure(vuln_config, vuln_core, offline):
     return online, thehuzz, specure_seconds, thehuzz_seconds
 
 
-def test_e7_runtime_overhead(benchmark, vuln_config, vuln_core, offline):
+def test_e7_runtime_overhead(benchmark, vuln_core, offline):
     online, thehuzz, specure_seconds, thehuzz_seconds = benchmark.pedantic(
-        measure, args=(vuln_config, vuln_core, offline), rounds=1, iterations=1
+        measure, args=(vuln_core, offline), rounds=1, iterations=1
     )
     overhead = 100.0 * (specure_seconds - thehuzz_seconds) / thehuzz_seconds
     rows = [

@@ -20,7 +20,7 @@ import time
 
 from repro.fuzz.triggers import all_triggers
 from repro.harness.campaign import run_coverage_campaign
-from repro.harness.parallel import run_sharded_campaign
+from repro.scenarios import ScenarioSpec, run_scenario
 from repro.utils.text import ascii_table
 
 from benchmarks.conftest import emit
@@ -31,20 +31,20 @@ SHARDS = 2
 JOBS = 2
 
 
-def test_e9_serial_vs_sharded_equivalence(benchmark, vuln_config):
+def test_e9_serial_vs_sharded_equivalence(benchmark):
     """Sharding repeats across processes must not change a single byte
     of the Figure 2 coverage curves."""
+    spec = ScenarioSpec(name="e9-coverage", coverage="lp",
+                        iterations=ITERATIONS, seed=40)
     started = time.perf_counter()
-    serial = run_coverage_campaign(
-        vuln_config, "lp", ITERATIONS, repeats=REPEATS, base_seed=40
-    )
+    serial = run_coverage_campaign(spec, repeats=REPEATS)
     serial_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
     sharded = benchmark.pedantic(
         run_coverage_campaign,
-        args=(vuln_config, "lp", ITERATIONS),
-        kwargs={"repeats": REPEATS, "base_seed": 40, "jobs": JOBS},
+        args=(spec,),
+        kwargs={"repeats": REPEATS, "jobs": JOBS},
         rounds=1, iterations=1,
     )
     sharded_seconds = time.perf_counter() - started
@@ -64,17 +64,14 @@ def test_e9_serial_vs_sharded_equivalence(benchmark, vuln_config):
         [(c.label, c.values) for c in sharded]
 
 
-def test_e9_sharded_report_matches_serial_merge(vuln_config):
+def test_e9_sharded_report_matches_serial_merge():
     """The merged report of a 2-process sharded campaign is identical
     (curves, detections, counters) to the same shards run inline."""
-    inline = run_sharded_campaign(
-        vuln_config, iterations_per_shard=8, shards=SHARDS, jobs=1,
-        base_seed=40, monitor_dcache=True,
-    )
-    procs = run_sharded_campaign(
-        vuln_config, iterations_per_shard=8, shards=SHARDS, jobs=JOBS,
-        base_seed=40, monitor_dcache=True,
-    )
+    spec = ScenarioSpec(name="e9-shards", iterations=8, shards=SHARDS,
+                        seed=40, monitor_dcache=True,
+                        on_shard_failure="fail", max_shard_retries=0)
+    inline = run_scenario(spec, jobs=1).report
+    procs = run_scenario(spec, jobs=JOBS).report
     assert inline.fuzz.coverage_curve == procs.fuzz.coverage_curve
     assert [(f.iteration, f.kind) for f in inline.fuzz.findings] == \
         [(f.iteration, f.kind) for f in procs.fuzz.findings]

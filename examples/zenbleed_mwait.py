@@ -25,9 +25,7 @@ from repro.scenarios import get_scenario
 
 def online_for(scenario) -> OnlinePhase:
     """The scenario's online pipeline, for single-program runs."""
-    specure = scenario.build_specure()
-    return OnlinePhase(specure.core, specure.offline(),
-                       monitor_dcache=scenario.monitor_dcache)
+    return scenario.build_specure().build_online()
 
 
 def demonstrate(online: OnlinePhase, name: str, program) -> None:

@@ -3,20 +3,23 @@
 Public API of the reproduction of *"Lost and Found in Speculation:
 Hybrid Speculative Vulnerability Detection"* (Rostami et al., DAC 2024).
 
-Quick start::
+Quick start — one :class:`ScenarioSpec` holds every campaign knob::
 
-    from repro import Specure, BoomConfig, VulnConfig
+    from repro import ScenarioSpec, Specure
 
-    specure = Specure(BoomConfig.small(VulnConfig.all()), seed=1)
+    spec = ScenarioSpec(name="demo", monitor_dcache=True)
+    specure = Specure(spec)
     print(specure.offline().summary())          # IFG + PDLC (offline phase)
     report = specure.campaign(iterations=200)   # fuzz + detect (online phase)
     print(report.render())
 
-Campaigns are also available as declarative, persisted *scenarios*::
+Sharded, persisted, resumable and wall-clock-budgeted campaigns of a
+spec all run through ``run_scenario``::
 
     from repro.scenarios import get_scenario, run_scenario
 
     outcome = run_scenario(get_scenario("spectre-v1"), run_dir="runs/s1")
+    merged = run_scenario(spec.override(shards=4), jobs=4).report
 
 See docs/architecture.md for the module map and docs/paper_mapping.md
 for the paper-artifact-to-benchmark index.

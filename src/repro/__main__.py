@@ -76,8 +76,7 @@ def selfcheck(_args=None) -> int:
     print(f"repro {__version__} — Specure (DAC'24) reproduction")
     print()
 
-    specure = Specure(BoomConfig.small(VulnConfig.all()), seed=1,
-                      monitor_dcache=True)
+    specure = Specure(ScenarioSpec(name="selfcheck", monitor_dcache=True))
     print(specure.offline().summary())
     print()
 

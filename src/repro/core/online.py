@@ -29,11 +29,7 @@ from dataclasses import dataclass, field
 from repro import faultinject, telemetry
 
 from repro.boom.core import CoreResult
-from repro.contracts.clauses import DEFAULT_SPEC_WINDOW
-from repro.contracts.detector import (
-    DEFAULT_INPUTS_PER_CLASS,
-    ContractDetector,
-)
+from repro.contracts.detector import ContractDetector
 from repro.contracts.hwtrace import HardwareTraceCollector
 from repro.core.offline import OfflineArtifacts
 from repro.coverage.code import CodeCoverage
@@ -95,30 +91,17 @@ class OnlineStats:
 class OnlinePhase:
     """The evaluation pipeline handed to the fuzzing loop."""
 
-    def __init__(
-        self,
-        core,  # any repro.puts.base.Put backend (BoomCore, RtlPut, ...)
-        offline: OfflineArtifacts,
-        coverage: str = "lp",
-        monitor_dcache: bool = False,
-        detector: str = "ift",
-        contract: str = "ct-seq",
-        inputs_per_class: int = DEFAULT_INPUTS_PER_CLASS,
-        max_spec_window: int = DEFAULT_SPEC_WINDOW,
-        static_prune: bool = False,
-    ):
-        if coverage not in ("lp", "code"):
-            raise ValueError(f"unknown coverage metric {coverage!r}")
-        if detector not in DETECTORS:
-            raise ValueError(
-                f"unknown detector {detector!r}; choose from "
-                f"{', '.join(DETECTORS)}"
-            )
+    def __init__(self, core, offline: OfflineArtifacts, spec):
+        """Wire the pipeline for ``core`` (any
+        :class:`repro.puts.base.Put` backend) with the detection and
+        coverage knobs of ``spec`` (a
+        :class:`~repro.scenarios.spec.ScenarioSpec`, validated on
+        construction)."""
         self.core = core
         self.offline = offline
-        self.coverage_kind = coverage
-        self.detector_mode = detector
-        self.static_prune = static_prune
+        self.coverage_kind = spec.coverage
+        self.detector_mode = spec.detector
+        self.static_prune = spec.static_prune
         signal_names = core.signal_names()
         signal_map = core.signal_map()
         # With static_prune, provably-dead channels (see
@@ -126,26 +109,21 @@ class OnlinePhase:
         # Detection below stays unpruned: pruning only shapes feedback,
         # never what counts as a leak.
         include = None
-        if static_prune and offline.classification is not None:
+        if spec.static_prune and offline.classification is not None:
             include = offline.classification.live_indices()
         self.lp = LpCoverage(offline.pdlc, signal_names, include=include)
         self.code = CodeCoverage()
         self.leakage = LeakageDetector(signal_map.windows)
         self.vulnerability = VulnerabilityDetector(
             offline.pdlc,
-            monitor_dcache=monitor_dcache,
+            monitor_dcache=spec.monitor_dcache,
             line_bytes=core.config.line_bytes,
             dcache_sets=core.config.dcache_sets,
             signal_map=signal_map,
         )
         self.contract: ContractDetector | None = None
-        if detector in ("contract", "both"):
-            # Canonicalize before the membership check so every
-            # spelling of a composed clause ("ct-ssb+cond", ...)
-            # matches the design's canonical supported set.
-            from repro.contracts.clauses import canonicalize_clause
-
-            contract = canonicalize_clause(contract)
+        if spec.detector in ("contract", "both"):
+            contract = spec.effective_contract()
             if contract not in core.supported_clauses():
                 raise ValueError(
                     f"contract clause {contract!r} is not supported by "
@@ -163,8 +141,8 @@ class OnlinePhase:
                 HardwareTraceCollector(core.config, signal_names,
                                        signal_map=signal_map),
                 clause=contract,
-                inputs_per_class=inputs_per_class,
-                max_spec_window=max_spec_window,
+                inputs_per_class=spec.inputs_per_class,
+                max_spec_window=spec.max_spec_window,
                 base_address=core.config.base_address,
                 line_bytes=core.config.line_bytes,
                 memo=core.golden_memo(),

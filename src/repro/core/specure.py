@@ -1,13 +1,15 @@
 """The Specure facade: offline phase + online phase + hardware fuzzer.
 
 One object wires the full pipeline of the paper's Figure 1 and runs
-campaigns:
+campaigns.  Its configuration is a
+:class:`~repro.scenarios.spec.ScenarioSpec`, the one campaign config
+object:
 
-    specure = Specure(BoomConfig.small(VulnConfig.all()), seed=7)
-    report = specure.campaign(iterations=500)
+    spec = ScenarioSpec(name="demo", seed=7)
+    report = Specure(spec).campaign(iterations=500)
     print(report.render())
 
-Configuration knobs map one-to-one onto the paper's experiments:
+The spec's knobs map one-to-one onto the paper's experiments:
 ``coverage`` selects LP vs traditional code coverage (Figure 2),
 ``monitor_dcache`` adds the data cache to the monitored observables
 (the Spectre experiments), ``use_special_seeds`` toggles the speculative
@@ -19,18 +21,17 @@ seed corpus (the with/without-seeds detection-time numbers), and
 ``max_spec_window``; see :mod:`repro.contracts`), or ``"both"`` for
 cross-validation.
 
-The same knobs travel three ways: directly through this constructor,
-sharded across worker processes via :meth:`Specure.sharded_campaign`
-(:mod:`repro.harness.parallel`), and declaratively as
-:class:`~repro.scenarios.spec.ScenarioSpec` bundles that the scenario
-runner persists and resumes (:mod:`repro.scenarios`).
+A Specure runs one serial campaign.  Sharded, persisted, resumable and
+wall-clock-budgeted campaigns of the same spec all go through
+:func:`repro.scenarios.runner.run_scenario`, whose shard worker builds
+each shard's Specure from the spec at the shard's seed.
 """
 
 from __future__ import annotations
 
+import time
 from collections.abc import Callable
 
-from repro.boom.config import BoomConfig
 from repro.core.offline import OfflineArtifacts, run_offline
 from repro.core.online import OnlinePhase
 from repro.core.report import CampaignReport
@@ -90,79 +91,29 @@ class SpecureCampaign:
 class Specure:
     """Top-level entry point of the reproduction."""
 
-    #: The campaign knobs: every constructor argument besides the PUT
-    #: (``config``/``core``/``offline``) and the ``seed``.  Shard work
-    #: orders rebuild a campaign from these names (:meth:`knobs`), so a
-    #: new knob is one constructor argument plus one entry here.
-    KNOBS = (
-        "coverage", "monitor_dcache", "use_special_seeds",
-        "random_seed_count", "splice_probability", "mutation_rounds",
-        "detector", "contract", "inputs_per_class", "max_spec_window",
-        "instruction_categories", "static_prune",
-    )
+    def __init__(self, spec, *, core=None,
+                 offline: OfflineArtifacts | None = None):
+        """Wire the pipeline ``spec`` (a :class:`ScenarioSpec`) describes.
 
-    def __init__(
-        self,
-        config=None,  # BoomConfig, RtlPutConfig, ... (None: small BOOM)
-        seed: int = 0,
-        coverage: str = "lp",
-        monitor_dcache: bool = False,
-        use_special_seeds: bool = True,
-        random_seed_count: int = 4,
-        splice_probability: float = 0.15,
-        mutation_rounds: int = 3,
-        detector: str = "ift",
-        contract: str = "ct-seq",
-        inputs_per_class: int = 3,
-        max_spec_window: int = 16,
-        instruction_categories: tuple[str, ...] = (),
-        static_prune: bool = False,
-        core=None,  # any repro.puts.base.Put backend
-        offline: OfflineArtifacts | None = None,
-    ):
-        """``core`` and ``offline`` inject prebuilt shared statics.
-
-        Both are pure functions of the configuration (the core's engine
+        ``core`` and ``offline`` inject prebuilt shared statics.  Both
+        are pure functions of the PUT configuration (the core's engine
         resets exactly between programs; the offline artifacts derive
         from the netlist alone), so a process that runs many campaigns
         against one design — a sharded campaign's parent and its forked
         workers (:mod:`repro.harness.parallel`) — builds them once and
         hands them to every Specure instead of re-elaborating the
-        netlist and re-running the offline phase per campaign.  When
-        ``core`` is
-        given, its configuration wins (it must equal ``config``).
+        netlist and re-running the offline phase per campaign.  An
+        injected core must have been built for ``spec.build_config()``.
         """
-        if core is not None and config is not None \
-                and core.config != config:
+        config = spec.build_config()
+        if core is not None and core.config != config:
             raise ValueError(
-                "Specure(config=..., core=...): the injected core was "
-                "built for a different configuration"
+                "Specure(spec, core=...): the injected core was built "
+                "for a different configuration"
             )
-        self.config = core.config if core is not None \
-            else (config or BoomConfig.small())
-        self.seed = seed
-        self.coverage = coverage
-        self.monitor_dcache = monitor_dcache
-        self.use_special_seeds = use_special_seeds
-        self.random_seed_count = random_seed_count
-        self.splice_probability = splice_probability
-        self.mutation_rounds = mutation_rounds
-        self.detector = detector
-        self.contract = contract
-        self.inputs_per_class = inputs_per_class
-        self.max_spec_window = max_spec_window
-        # Validated eagerly (with did-you-mean) so a typo fails at
-        # construction, not mid-campaign.
-        self.instruction_categories = validate_categories(
-            instruction_categories
-        )
-        self.static_prune = static_prune
-        self.core = core if core is not None else build_put(self.config)
+        self.spec = spec
+        self.core = core if core is not None else build_put(config)
         self._offline: OfflineArtifacts | None = offline
-
-    def knobs(self) -> dict:
-        """This Specure's knob values, keyed by :attr:`KNOBS` name."""
-        return {name: getattr(self, name) for name in self.KNOBS}
 
     def offline(self) -> OfflineArtifacts:
         """Run (and cache) the offline phase for this PUT."""
@@ -177,26 +128,18 @@ class Specure:
         minimizer, and replay all share, so detector configuration can
         never drift between the fuzzing loop and its re-checkers.
         """
-        return OnlinePhase(
-            self.core,
-            self.offline(),
-            coverage=self.coverage,
-            monitor_dcache=self.monitor_dcache,
-            detector=self.detector,
-            contract=self.contract,
-            inputs_per_class=self.inputs_per_class,
-            max_spec_window=self.max_spec_window,
-            static_prune=self.static_prune,
-        )
+        return OnlinePhase(self.core, self.offline(), self.spec)
 
     def build_campaign(self) -> SpecureCampaign:
         """Wire a fresh online phase + fuzzer (new RNG streams)."""
+        spec = self.spec
         offline = self.offline()
         online = self.build_online()
-        rng = DeterministicRng(self.seed)
-        categories = self.instruction_categories
+        rng = DeterministicRng(spec.seed)
+        # Canonical registry order, whatever order the spec lists.
+        categories = validate_categories(spec.instruction_categories)
         seeds: list[TestProgram] = []
-        if self.use_special_seeds:
+        if spec.use_special_seeds:
             special = self.core.special_seeds()
             if categories:
                 # Scoped campaigns keep only seeds made entirely of
@@ -205,7 +148,7 @@ class Specure:
                 special = [s for s in special
                            if words_in_categories(s.words, categories)]
             seeds.extend(special)
-        for index in range(self.random_seed_count):
+        for index in range(spec.random_seed_count):
             seeds.append(random_seed(rng.fork(0x5EED + index),
                                      categories=categories))
         fuzz_rng = rng.fork(0xF0)
@@ -220,8 +163,8 @@ class Specure:
             seeds=seeds,
             rng=fuzz_rng,
             mutator=mutator,
-            splice_probability=self.splice_probability,
-            mutation_rounds=self.mutation_rounds,
+            splice_probability=spec.splice_probability,
+            mutation_rounds=spec.mutation_rounds,
         )
         return SpecureCampaign(online, fuzzer, offline)
 
@@ -233,33 +176,27 @@ class Specure:
         """Run one fuzzing campaign end to end."""
         return self.build_campaign().run(iterations, stop_when=stop_when)
 
-    def sharded_campaign(
-        self,
-        iterations_per_shard: int,
-        shards: int = 2,
-        jobs: int | None = None,
-        stop_kind: str | None = None,
-    ) -> CampaignReport:
-        """Run ``shards`` seeded campaigns (``jobs`` worker processes)
-        and merge their artifacts into one :class:`CampaignReport`.
 
-        Shard 0 uses ``self.seed`` itself and shard ``k >= 1`` a
-        hash-derived independent stream (see
-        :func:`repro.harness.parallel.shard_seed`); merging is
-        deterministic regardless of worker scheduling.  ``stop_kind``
-        ends each shard at its first finding of that vulnerability kind.
-        """
-        from repro.harness.parallel import run_shards
-
-        return run_shards(self, shards, jobs,
-                          iterations=iterations_per_shard,
-                          stop_kind=stop_kind)
+#: The iteration cap of a campaign with a wall-clock budget: a
+#: backstop, the deadline does the real work.
+TIMED_ITERATION_CAP = 10_000_000
 
 
-def stop_on_kind(kind: str) -> Callable[[list[FuzzFinding]], bool]:
-    """A stop predicate: end the campaign at the first ``kind`` finding."""
+def stop_on_kind(
+    kind: str | None, *, seconds: float | None = None,
+) -> Callable[[list[FuzzFinding]], bool] | None:
+    """The stop predicate of every campaign path: end at the first
+    ``kind`` finding and, with ``seconds``, once that wall-clock budget
+    has passed (checked between iterations; the clock starts at this
+    call).  ``None`` when neither condition is set."""
+    if kind is None and seconds is None:
+        return None
+    deadline = None if seconds is None else time.monotonic() + seconds
 
     def predicate(findings: list[FuzzFinding]) -> bool:
-        return any(finding.kind == kind for finding in findings)
+        if deadline is not None and time.monotonic() >= deadline:
+            return True
+        return kind is not None and any(finding.kind == kind
+                                        for finding in findings)
 
     return predicate

@@ -7,14 +7,11 @@ from repro.harness.campaign import (
     mean_curve,
     run_coverage_campaign,
     run_detection_campaign,
-    run_timed_campaign,
 )
 from repro.harness.experiments import EXPERIMENTS, ExperimentSpec
 from repro.harness.parallel import (
     merge_campaign_results,
     merge_reports,
-    run_sharded_campaign,
-    run_sharded_timed_campaign,
     shard_seed,
 )
 from repro.harness.plotting import render_coverage_figure
@@ -25,11 +22,8 @@ __all__ = [
     "mean_curve",
     "run_coverage_campaign",
     "run_detection_campaign",
-    "run_timed_campaign",
     "merge_campaign_results",
     "merge_reports",
-    "run_sharded_campaign",
-    "run_sharded_timed_campaign",
     "shard_seed",
     "EXPERIMENTS",
     "ExperimentSpec",

@@ -1,27 +1,28 @@
 """Campaign runners for the paper's experiments.
 
-Wraps the Specure facade for the experiment shapes the evaluation
-needs: *coverage campaigns* (Figure 2: covered-PDLC-versus-iteration
-curves, repeated and averaged), *detection campaigns* (Table 2 /
-detection-time: iterations until a given vulnerability class is first
-reported), and *time-budgeted campaigns* (the paper's 24-hour runs,
-scaled to seconds).
+Two experiment shapes of the evaluation need more than one merged
+campaign report, so they keep their own work units: *coverage
+campaigns* (Figure 2: covered-PDLC-versus-iteration curves, repeated
+and averaged) and *detection campaigns* (Table 2 / detection-time:
+iterations until a given vulnerability class is first reported).  Both
+take a :class:`~repro.scenarios.spec.ScenarioSpec` for the campaign
+knobs.  Sharded and time-budgeted campaigns (the paper's 24-hour runs,
+scaled to seconds) are :func:`repro.scenarios.runner.run_scenario`
+calls.
 
-Every runner takes ``jobs``: with ``jobs >= 2`` the independent units
-of work (coverage repeats, detection kinds, timed shards) fan out
-across worker processes via :mod:`repro.harness.parallel`, with
-deterministic per-shard seeds, and the results merge back to exactly
-what the serial run produces — see the determinism contract in that
-module's docstring.
+Both runners take ``jobs``: with ``jobs >= 2`` their independent units
+of work (coverage repeats, detection kinds) fan out across worker
+processes via :mod:`repro.harness.parallel`, and the results merge back
+to exactly what the serial run produces — see the determinism contract
+in that module's docstring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.boom.config import BoomConfig
-from repro.core.report import CampaignReport
-from repro.core.specure import Specure, stop_on_kind
+from repro.harness.parallel import map_shards, shard_seed
+from repro.scenarios.spec import ScenarioSpec
 
 
 @dataclass
@@ -83,57 +84,40 @@ def mean_curve(curves: list[CoverageCurve], label: str) -> CoverageCurve:
     return CoverageCurve(label=label, values=[int(v) for v in values])
 
 
-def _coverage_repeat(
-    config: BoomConfig,
-    coverage: str,
-    iterations: int,
-    seed: int,
-    repeat: int,
-) -> CoverageCurve:
+def _coverage_repeat(unit: tuple[ScenarioSpec, int]) -> CoverageCurve:
     """One coverage-campaign repeat — the unit both the serial loop and
     the parallel shard workers execute, so their results are identical."""
-    specure = Specure(config, seed=seed, coverage=coverage)
+    spec, repeat = unit
+    specure = spec.override(seed=shard_seed(spec.seed, repeat)).build_specure()
     campaign = specure.build_campaign()
-    campaign.run(iterations)
+    campaign.run(spec.iterations)
     return CoverageCurve(
-        label=f"{coverage}#{repeat}",
+        label=f"{spec.coverage}#{repeat}",
         values=list(campaign.online.lp_curve),
     )
 
 
-def _coverage_repeat_star(args) -> CoverageCurve:
-    """Picklable adapter for shard workers (module-level by necessity)."""
-    return _coverage_repeat(*args)
-
-
 def run_coverage_campaign(
-    config: BoomConfig,
-    coverage: str,
-    iterations: int,
+    spec: ScenarioSpec,
     repeats: int = 3,
-    base_seed: int = 0,
     jobs: int | None = None,
 ) -> list[CoverageCurve]:
-    """Run ``repeats`` fuzzing campaigns with the given coverage feedback.
+    """Run ``repeats`` ``spec.iterations``-long campaigns of ``spec``.
 
-    Both arms (LP and code coverage) report their progress in *covered
-    PDLCs* — Figure 2's y-axis — regardless of which metric guided the
-    fuzzer.  For the code-coverage arm this means the LP calculator runs
-    as a passive observer on every iteration.
+    Both arms (``spec.coverage`` LP and code) report their progress in
+    *covered PDLCs* — Figure 2's y-axis — regardless of which metric
+    guided the fuzzer.  For the code-coverage arm this means the LP
+    calculator runs as a passive observer on every iteration.
 
-    With ``jobs >= 2`` the repeats run in parallel worker processes;
-    repeat ``k`` always uses the deterministic
-    :func:`~repro.harness.parallel.shard_seed`, so the returned curves
-    are byte-identical to a serial run.
+    Repeat ``k`` runs at :func:`~repro.harness.parallel.shard_seed`
+    ``(spec.seed, k)``; with ``jobs >= 2`` the repeats run in parallel
+    worker processes and the returned curves are byte-identical to a
+    serial run.  A repeat returns its own online phase's LP curve,
+    which a merged :class:`~repro.core.report.CampaignReport` does not
+    carry, so repeats are not scenario shards.
     """
-    from repro.harness.parallel import map_shards, shard_seed
-
-    specs = [
-        (config, coverage, iterations,
-         shard_seed(base_seed, repeat), repeat)
-        for repeat in range(repeats)
-    ]
-    return map_shards(_coverage_repeat_star, specs, jobs)
+    units = [(spec, repeat) for repeat in range(repeats)]
+    return map_shards(_coverage_repeat, units, jobs)
 
 
 @dataclass
@@ -148,25 +132,19 @@ class DetectionOutcome:
         return kind in self.first_detection
 
 
-def _detection_kind_star(args) -> DetectionOutcome:
+def _detection_kind(unit: tuple[ScenarioSpec, str]) -> DetectionOutcome:
     """One single-kind detection campaign (picklable shard worker)."""
-    config, kind, iterations, seed, monitor_dcache, use_special_seeds = args
-    return run_detection_campaign(
-        config, [kind], iterations, seed=seed,
-        monitor_dcache=monitor_dcache, use_special_seeds=use_special_seeds,
-    )
+    spec, kind = unit
+    return run_detection_campaign(spec, [kind])
 
 
 def run_detection_campaign(
-    config: BoomConfig,
+    spec: ScenarioSpec,
     kinds: list[str],
-    iterations: int,
-    seed: int = 0,
-    monitor_dcache: bool = True,
-    use_special_seeds: bool = True,
     jobs: int | None = None,
 ) -> DetectionOutcome:
-    """Fuzz until every kind in ``kinds`` is found or the budget ends.
+    """Fuzz ``spec`` until every kind in ``kinds`` is found or its
+    ``spec.iterations`` budget ends.
 
     With ``jobs >= 2`` (and more than one kind) each vulnerability kind
     gets its own worker process running the same seeded campaign, which
@@ -174,31 +152,17 @@ def run_detection_campaign(
     pure function of the seed — the stop predicate only ends the loop —
     so each kind's first-detection iteration is identical to the serial
     all-kinds campaign's, while the slowest kind no longer serialises
-    behind the others.
+    behind the others.  (These units share one seed, so they are not a
+    scenario's shards.)
     """
+    budget = spec.iterations
     if jobs is not None and jobs >= 2 and len(kinds) >= 2:
-        from repro.harness.parallel import map_shards
-
-        specs = [
-            (config, kind, iterations, seed, monitor_dcache,
-             use_special_seeds)
-            for kind in kinds
-        ]
-        outcomes = map_shards(_detection_kind_star, specs, jobs)
-        merged = DetectionOutcome(
-            tool="specure", iterations_budget=iterations
-        )
-        for outcome in outcomes:
+        units = [(spec, kind) for kind in kinds]
+        merged = DetectionOutcome(tool="specure", iterations_budget=budget)
+        for outcome in map_shards(_detection_kind, units, jobs):
             merged.first_detection.update(outcome.first_detection)
         return merged
 
-    specure = Specure(
-        config,
-        seed=seed,
-        coverage="lp",
-        monitor_dcache=monitor_dcache,
-        use_special_seeds=use_special_seeds,
-    )
     remaining = set(kinds)
 
     def stop(findings) -> bool:
@@ -206,39 +170,10 @@ def run_detection_campaign(
             remaining.discard(finding.kind)
         return not remaining
 
-    report = specure.campaign(iterations, stop_when=stop)
-    outcome = DetectionOutcome(tool="specure", iterations_budget=iterations)
+    report = spec.build_specure().campaign(budget, stop_when=stop)
+    outcome = DetectionOutcome(tool="specure", iterations_budget=budget)
     for kind in kinds:
         iteration = report.first_detection_iteration(kind)
         if iteration is not None:
             outcome.first_detection[kind] = iteration + 1  # 1-based
     return outcome
-
-
-def run_timed_campaign(
-    config: BoomConfig,
-    seconds: float,
-    coverage: str = "lp",
-    seed: int = 0,
-    monitor_dcache: bool = True,
-    shards: int = 1,
-    jobs: int | None = None,
-) -> CampaignReport:
-    """Run a campaign for (approximately) a wall-clock budget.
-
-    The paper's experiments are time-budgeted (24-hour runs); this is
-    the scaled equivalent.  The deadline is checked between iterations,
-    so the run overshoots by at most one evaluation.
-
-    The budget is fuzzed by ``shards`` independent hash-derived seed
-    streams (see :func:`~repro.harness.parallel.shard_seed`; shard 0 is
-    ``seed`` itself) concurrently — ``jobs`` worker processes — and the
-    shard reports are merged into one :class:`CampaignReport` (see
-    :mod:`repro.harness.parallel`).
-    """
-    from repro.harness.parallel import run_sharded_timed_campaign
-
-    return run_sharded_timed_campaign(
-        config, seconds, shards=shards, jobs=jobs, base_seed=seed,
-        coverage=coverage, monitor_dcache=monitor_dcache,
-    )

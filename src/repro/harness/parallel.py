@@ -3,9 +3,10 @@
 The paper's evaluation rests on repeated, long (24-hour) fuzzing
 campaigns.  This module fans that work out across worker processes —
 coverage-campaign *repeats* (Figure 2), detection-campaign *kinds*
-(Table 2), and timed-campaign *shards* (the 24-hour runs) — and merges
-the shard artifacts back into exactly the report types a serial run
-produces.
+(Table 2), and the shards of a scenario campaign
+(:func:`repro.scenarios.runner.run_scenario`, timed or not) — and
+merges the shard artifacts back into exactly the report types a serial
+run produces.
 
 Determinism contract
 --------------------
@@ -24,8 +25,8 @@ spacing, which collided across campaigns whose base seeds differ by a
 multiple of 1000 (scenarios at seeds 0 and 1000 shared shard streams —
 shard ``k+1`` of one replayed shard ``k`` of the other).  The old
 ``shard_stride`` parameter is gone: passing it raises (a ``TypeError``
-here, a :class:`~repro.scenarios.spec.ScenarioError` from scenario
-files).  See the compatibility note in ``docs/scenarios.md``.
+from :func:`shard_seed`, a :class:`~repro.scenarios.spec.ScenarioError`
+from scenario files).  See the compatibility note in ``docs/scenarios.md``.
 
 Executor architecture
 ---------------------
@@ -689,27 +690,26 @@ def merge_reports(reports: list[CampaignReport]) -> CampaignReport:
 
 
 # ----------------------------------------------------------------------
-# Sharded runners
+# Shard dispatch
 # ----------------------------------------------------------------------
 
 class ShardDispatch:
     """One campaign's shard dispatch from the parent's shared statics.
 
     The offline phase runs once per processor under test (§3.1), and so
-    does a sharded campaign.  Construction rebuilds the parent's
-    :class:`Specure` on :func:`shared_statics` before any unit is
-    dispatched, so a worker fleet forked afterwards inherits the PUT and
-    its offline artifacts copy-on-write.  (A fleet forked earlier, for
+    does a sharded campaign.  Construction builds the parent's
+    :class:`Specure` for ``spec`` on :func:`shared_statics` before any
+    unit is dispatched, so a worker fleet forked afterwards inherits the
+    PUT and its offline artifacts copy-on-write.  (A fleet forked earlier, for
     another design, builds its own on first use.)  The shard worker
     returns its report with ``offline=None`` — the artifacts are the
     bulk of a pickled report — and :meth:`receive` re-attaches the
     parent's one copy as each shard arrives.
     """
 
-    def __init__(self, specure: Specure):
-        core, offline = shared_statics(specure.config)
-        self.specure = Specure(core=core, offline=offline,
-                               seed=specure.seed, **specure.knobs())
+    def __init__(self, spec):
+        core, offline = shared_statics(spec.build_config())
+        self.specure = Specure(spec, core=core, offline=offline)
 
     def receive(self, units):
         """Re-yield the ``(task, result)`` pairs of an :func:`imap_shards`
@@ -722,70 +722,3 @@ class ShardDispatch:
                 report, corpus = result
                 result = replace(report, offline=offline), corpus
             yield task, result
-
-
-def run_shards(specure: Specure, shards: int, jobs: int | None,
-               **budget) -> CampaignReport:
-    """Run ``shards`` campaigns of ``specure``'s configuration, shard
-    ``k`` at :func:`shard_seed` ``(specure.seed, k)``, and merge them.
-
-    ``budget`` holds the :class:`~repro.scenarios.runner.ShardTask`
-    fields that bound each shard (``iterations``, ``seconds``,
-    ``stop_kind``).
-    """
-    from repro.scenarios.runner import ShardTask, _execute_shard
-
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    dispatch = ShardDispatch(specure)
-    tasks = [ShardTask.of(dispatch.specure, shard, **budget)
-             for shard in range(shards)]
-    reports = {
-        task.shard: report for task, (report, _corpus)
-        in dispatch.receive(imap_shards(_execute_shard, tasks, jobs))
-    }
-    return merge_reports([reports[shard] for shard in range(shards)])
-
-
-def run_sharded_campaign(
-    config,
-    iterations_per_shard: int,
-    shards: int = 2,
-    jobs: int | None = None,
-    base_seed: int = 0,
-    stop_kind: str | None = None,
-    **knobs,
-) -> CampaignReport:
-    """Run ``shards`` independent campaigns and merge their reports.
-
-    Each shard is a full serial campaign at its :func:`shard_seed`;
-    ``jobs`` bounds the number of concurrent worker processes
-    (``None``/1 = inline).  ``knobs`` are :class:`Specure` keyword
-    arguments (:attr:`Specure.KNOBS`), checked here before any shard
-    runs.
-    """
-    specure = Specure(config, seed=base_seed, **knobs)
-    return run_shards(specure, shards, jobs,
-                      iterations=iterations_per_shard, stop_kind=stop_kind)
-
-
-def run_sharded_timed_campaign(
-    config,
-    seconds: float,
-    shards: int = 2,
-    jobs: int | None = None,
-    base_seed: int = 0,
-    coverage: str = "lp",
-    monitor_dcache: bool = True,
-) -> CampaignReport:
-    """Sharded version of the paper's time-budgeted (24-hour) runs.
-
-    Every shard fuzzes a distinct seed stream for the *same* wall-clock
-    budget; with ``jobs >= shards`` the whole sharded campaign takes the
-    budget of one.
-    """
-    if seconds <= 0:
-        raise ValueError("seconds must be positive")
-    specure = Specure(config, seed=base_seed, coverage=coverage,
-                      monitor_dcache=monitor_dcache)
-    return run_shards(specure, shards, jobs, seconds=seconds)

@@ -36,6 +36,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
 
+from repro.core.specure import TIMED_ITERATION_CAP, stop_on_kind
 from repro.utils.text import ascii_table
 
 #: The pinned protocols ``python -m repro bench`` runs by default.
@@ -64,9 +65,6 @@ REPEATS = 5
 BENCH_PATH = Path("BENCH.json")
 
 VARIANTS = ("telemetry", "checkpoint")
-
-#: Iteration backstop for wall-clock budgets (the deadline does the work).
-_BUDGET_ITERATION_CAP = 10_000_000
 
 _NUMBER = r"\d+(?:\.\d+)?"
 _KEY = re.compile(
@@ -233,20 +231,13 @@ def run_bench(
 
     campaign = spec.build_specure().build_campaign()  # offline, untimed
 
-    scenario_stop = spec.stop_predicate()
     if budget_s is None:
         mode, budget = "iterations", float(spec.iterations)
         budget_iterations = spec.iterations
-        stop = scenario_stop
     else:
         mode, budget = "budget_s", float(budget_s)
-        budget_iterations = _BUDGET_ITERATION_CAP
-        deadline = time.monotonic() + budget_s
-
-        def stop(findings) -> bool:
-            if time.monotonic() >= deadline:
-                return True
-            return scenario_stop is not None and scenario_stop(findings)
+        budget_iterations = TIMED_ITERATION_CAP
+    stop = stop_on_kind(spec.stop_kind, seconds=budget_s)
 
     hooks: dict = {}
     with contextlib.ExitStack() as stack:
@@ -433,32 +424,35 @@ def run_scaling_bench(
     both jobs counts then checks that the merged reports are
     byte-identical.
     """
-    from repro.harness.parallel import run_shards
-    from repro.scenarios import resolve_scenario
+    from repro.scenarios import resolve_scenario, run_scenario
 
     if shards < 2:
         raise BenchError("a scaling bench needs >= 2 shards")
     if budget_s <= 0:
         raise BenchError("budget_s must be positive")
-    spec = resolve_scenario(scenario)
-    specure = spec.build_specure()
+    # The scenario's shards, run to the budget alone and failing fast.
+    timed = resolve_scenario(scenario).override(
+        shards=shards, stop_kind=None, on_shard_failure="fail",
+        max_shard_retries=0)
+
+    def merged(spec, jobs: int, seconds: float | None = None):
+        return run_scenario(spec, jobs=jobs, minimize=False,
+                            seconds=seconds).report
 
     jobs_counts = (1, shards)
     wall_seconds: dict[str, float] = {}
     iterations_done: dict[str, int] = {}
     for jobs in jobs_counts:
-        run_shards(specure, shards, jobs, seconds=0.05)
+        merged(timed, jobs, seconds=0.05)
         started = time.perf_counter()
-        merged = run_shards(specure, shards, jobs, seconds=budget_s)
+        report = merged(timed, jobs, seconds=budget_s)
         wall_seconds[f"jobs={jobs}"] = time.perf_counter() - started
-        iterations_done[f"jobs={jobs}"] = merged.fuzz.iterations
+        iterations_done[f"jobs={jobs}"] = report.fuzz.iterations
 
-    low, high = (
-        run_shards(specure, shards, jobs, iterations=check_iterations)
-        for jobs in jobs_counts
-    )
+    fixed = timed.override(iterations=check_iterations)
+    low, high = (merged(fixed, jobs) for jobs in jobs_counts)
     return ScalingResult(
-        scenario=spec.name,
+        scenario=timed.name,
         shards=shards,
         budget_s=float(budget_s),
         wall_seconds=wall_seconds,

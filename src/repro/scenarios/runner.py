@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -51,7 +50,7 @@ from repro import faultinject, telemetry
 from repro.core.offline import OfflineArtifacts
 from repro.core.online import OnlinePhase
 from repro.core.report import CampaignReport
-from repro.core.specure import Specure, stop_on_kind
+from repro.core.specure import TIMED_ITERATION_CAP, Specure, stop_on_kind
 from repro.fuzz.crash import CRASH_KIND, crash_report
 from repro.fuzz.fuzzer import FuzzFinding, FuzzObserver
 from repro.fuzz.input import TestProgram
@@ -128,74 +127,41 @@ class ReplayResult:
     detector: str = "ift"
 
 
-#: The iteration cap of a shard with a wall-clock budget: a backstop,
-#: the deadline does the real work.
-_TIMED_ITERATION_CAP = 10_000_000
-
-
 @dataclass(frozen=True)
 class ShardTask:
     """One shard's picklable work order for :func:`_execute_shard`.
 
-    The shard's campaign is a :class:`Specure` for the PUT ``config``
-    with the ``knobs`` (keyed by :attr:`Specure.KNOBS`) at ``seed``; it
-    runs ``iterations`` fuzz rounds — or, with ``seconds``, until that
+    Shard ``shard`` of the ``spec`` campaign runs at :attr:`seed`,
+    ``spec.iterations`` fuzz rounds — or, with ``seconds``, until that
     wall-clock budget passes — and stops early at its first
-    ``stop_kind`` finding.  ``name`` labels the shard's telemetry.
-    Build tasks with :meth:`of`, from the parent's :class:`Specure`.
+    ``spec.stop_kind`` finding.
 
     ``attempt`` counts executions of this unit (1 = first try); the
     resilient dispatcher re-stamps it via :meth:`with_attempt` so the
     shard's telemetry records which attempt produced its artifacts.
     """
 
-    config: object  # BoomConfig | RtlPutConfig (any Put configuration)
+    spec: ScenarioSpec
     shard: int
-    seed: int
-    iterations: int = 0
-    knobs: dict = field(default_factory=dict)
-    stop_kind: str | None = None
     seconds: float | None = None
-    name: str = ""
     telemetry_dir: str | None = None
     checkpoint_dir: str | None = None
-    checkpoint_every: int = 0
     attempt: int = 1
 
-    @classmethod
-    def of(cls, specure: Specure, shard: int, **fields) -> "ShardTask":
-        """Shard ``shard`` of ``specure``'s campaign, at its
-        :func:`~repro.harness.parallel.shard_seed`."""
-        return cls(config=specure.config, shard=shard,
-                   seed=shard_seed(specure.seed, shard),
-                   knobs=specure.knobs(), **fields)
+    @property
+    def seed(self) -> int:
+        """The shard's :func:`~repro.harness.parallel.shard_seed`."""
+        return shard_seed(self.spec.seed, self.shard)
 
     def with_attempt(self, attempt: int) -> "ShardTask":
         return replace(self, attempt=attempt)
 
-    def stop_predicate(self):
-        """The shard's stop condition (or ``None``); a time budget
-        starts counting when this is called."""
-        kind = self.stop_kind
-        if self.seconds is None:
-            return None if kind is None else stop_on_kind(kind)
-        deadline = time.monotonic() + self.seconds
-
-        def stop(findings) -> bool:
-            if time.monotonic() >= deadline:
-                return True
-            return kind is not None and any(f.kind == kind
-                                            for f in findings)
-
-        return stop
-
 
 def _shard_campaign(task: ShardTask):
     """Build one shard's campaign from the process's shared statics."""
-    core, offline = shared_statics(task.config)
-    specure = Specure(core=core, offline=offline, seed=task.seed,
-                      **task.knobs)
-    return specure.build_campaign()
+    core, offline = shared_statics(task.spec.build_config())
+    spec = task.spec.override(seed=task.seed)
+    return Specure(spec, core=core, offline=offline).build_campaign()
 
 
 def _shard_corpus(campaign) -> list[tuple[TestProgram, int]]:
@@ -239,10 +205,11 @@ def _run_shard_campaign(
     task: ShardTask, heartbeat: HeartbeatWriter | None,
 ) -> tuple[CampaignReport, list[tuple[TestProgram, int]]]:
     """Build, (checkpoint-)resume, and run one shard's campaign."""
-    stop_when = task.stop_predicate()
+    spec = task.spec
+    stop_when = stop_on_kind(spec.stop_kind, seconds=task.seconds)
     campaign = _shard_campaign(task)
     checkpointing = (task.checkpoint_dir is not None
-                     and task.checkpoint_every > 0)
+                     and spec.checkpoint_every > 0)
     start_iteration, resume_result = 0, None
     on_checkpoint = None
     if checkpointing:
@@ -260,13 +227,13 @@ def _run_shard_campaign(
                 checkpoint_record(task.shard, task.seed, next_iteration,
                                   campaign, result))
 
-    iterations = (task.iterations if task.seconds is None
-                  else _TIMED_ITERATION_CAP)
+    iterations = (spec.iterations if task.seconds is None
+                  else TIMED_ITERATION_CAP)
     report = campaign.run(
         iterations,
         stop_when=stop_when,
         observer=_shard_observer(heartbeat, task.shard, task.telemetry_dir),
-        checkpoint_every=task.checkpoint_every if checkpointing else 0,
+        checkpoint_every=spec.checkpoint_every if checkpointing else 0,
         on_checkpoint=on_checkpoint,
         start_iteration=start_iteration,
         resume_result=resume_result,
@@ -279,9 +246,8 @@ def _run_shard_campaign(
 def _execute_shard(
     task: ShardTask,
 ) -> tuple[CampaignReport, list[tuple[TestProgram, int]]]:
-    """One shard's full campaign: the one shard worker every sharded
-    path — scenarios, ``Specure.sharded_campaign``, the
-    ``run_sharded_*`` runners and the scaling bench — dispatches.
+    """One shard's full campaign: the one shard worker, which
+    :func:`run_scenario` and :func:`resume_scenario` dispatch.
 
     Returns the shard report, with ``offline=None``, plus the fuzzer's
     retained corpus entries, which only exist inside the campaign object
@@ -330,8 +296,8 @@ def _execute_shard_telemetry(
             with recorder.span(f"shard/{task.shard}"):
                 heartbeat = HeartbeatWriter(task.telemetry_dir, task.shard)
                 meta = dict(
-                    scenario=task.name, seed=task.seed,
-                    iterations=task.iterations, pid=os.getpid(),
+                    scenario=task.spec.name, seed=task.seed,
+                    iterations=task.spec.iterations, pid=os.getpid(),
                 )
                 if task.attempt > 1:
                     meta["attempt"] = task.attempt
@@ -416,6 +382,7 @@ def run_scenario(
     minimize: bool = True,
     on_shard=None,
     telemetry: bool = False,
+    seconds: float | None = None,
 ) -> ScenarioOutcome:
     """Run a scenario, persisting into ``run_dir`` when given.
 
@@ -424,12 +391,28 @@ def run_scenario(
     each shard is finished and persisted.  ``telemetry=True`` records
     spans/metrics/heartbeats (see :mod:`repro.telemetry`); campaign
     artifacts stay byte-identical either way.
+
+    ``seconds`` gives every shard a wall-clock budget instead of
+    ``spec.iterations`` (the paper's time-budgeted runs, scaled down).
+    A timed shard is not a pure function of its seed, so a timed
+    campaign cannot be persisted and resumed: ``seconds`` together with
+    ``run_dir`` raises :class:`ValueError`.
     """
+    if seconds is not None:
+        if seconds <= 0:
+            raise ValueError("seconds must be positive")
+        if run_dir is not None:
+            raise ValueError(
+                "a timed campaign cannot be stored: its shards are not "
+                "reproducible from their seeds, so a run directory "
+                "could not be resumed byte-identically; pass run_dir "
+                "or seconds, not both"
+            )
     store = None
     if run_dir is not None:
         store = CampaignStore.create(run_dir, spec)
     return _drive(spec, store, jobs, minimize, on_shard, resumed=[],
-                  with_telemetry=telemetry)
+                  with_telemetry=telemetry, seconds=seconds)
 
 
 def resume_scenario(
@@ -463,6 +446,7 @@ def _drive(
     on_shard,
     resumed: list[int],
     with_telemetry: bool = False,
+    seconds: float | None = None,
 ) -> ScenarioOutcome:
     """Telemetry envelope around :func:`_drive_campaign`.
 
@@ -477,7 +461,7 @@ def _drive(
     """
     if not with_telemetry:
         return _drive_campaign(spec, store, jobs, minimize, on_shard,
-                               resumed, telemetry_dir=None)
+                               resumed, telemetry_dir=None, seconds=seconds)
     recorder = telemetry.enable()
     telemetry_dir = None
     if store is not None:
@@ -486,7 +470,8 @@ def _drive(
         with recorder.span("campaign"):
             outcome = _drive_campaign(spec, store, jobs, minimize,
                                       on_shard, resumed,
-                                      telemetry_dir=telemetry_dir)
+                                      telemetry_dir=telemetry_dir,
+                                      seconds=seconds)
     finally:
         telemetry.disable()
     outcome.telemetry = _finish_telemetry(recorder, store, spec)
@@ -563,8 +548,9 @@ def _drive_campaign(
     on_shard,
     resumed: list[int],
     telemetry_dir: str | None,
+    seconds: float | None = None,
 ) -> ScenarioOutcome:
-    dispatch = ShardDispatch(spec.build_specure())
+    dispatch = ShardDispatch(spec)
     specure = dispatch.specure
 
     if spec.iterations == 0:
@@ -579,13 +565,9 @@ def _drive_campaign(
     if store is not None and spec.checkpoint_every > 0:
         checkpoint_dir = str(store.checkpoint_dir(create=True))
     tasks = [
-        ShardTask.of(
-            specure, shard, iterations=spec.iterations,
-            stop_kind=spec.stop_kind, name=spec.name,
-            telemetry_dir=telemetry_dir,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=spec.checkpoint_every,
-        )
+        ShardTask(spec, shard, seconds=seconds,
+                  telemetry_dir=telemetry_dir,
+                  checkpoint_dir=checkpoint_dir)
         for shard in range(spec.shards)
         if shard not in resumed
     ]

@@ -9,10 +9,13 @@ JSON files and round-trip losslessly (``spec == from_toml(to_toml(spec))``),
 so a campaign is reproducible from a single small text file, the same
 shape Revizor-style fuzzers ship their detection scenarios in.
 
-The spec is deliberately *data only*: :meth:`ScenarioSpec.build_config`
+The spec is the one campaign config object:
+:class:`~repro.core.specure.Specure`, :class:`~repro.core.online.OnlinePhase`
+and every shard work order read their knobs from it, and no other type
+re-declares them.  It stays *data only*: :meth:`ScenarioSpec.build_config`
 and :meth:`ScenarioSpec.build_specure` are the bridges into the live
-pipeline, and :mod:`repro.scenarios.runner` executes specs against the
-persistent campaign store.
+pipeline, and :mod:`repro.scenarios.runner` executes specs (sharded,
+persisted, resumed) through :func:`~repro.scenarios.runner.run_scenario`.
 """
 
 from __future__ import annotations
@@ -569,23 +572,11 @@ class ScenarioSpec:
             )
         return config
 
-    def build_specure(self, seed: int | None = None):
-        """A :class:`~repro.core.specure.Specure` wired per this spec;
-        ``seed`` overrides the spec's base seed."""
+    def build_specure(self):
+        """The :class:`~repro.core.specure.Specure` this spec configures."""
         from repro.core.specure import Specure
 
-        knobs = {name: getattr(self, name) for name in Specure.KNOBS}
-        knobs["contract"] = self.effective_contract()
-        return Specure(self.build_config(),
-                       seed=self.seed if seed is None else seed, **knobs)
-
-    def stop_predicate(self):
-        """The stop condition as a findings predicate (or ``None``)."""
-        if self.stop_kind is None:
-            return None
-        from repro.core.specure import stop_on_kind
-
-        return stop_on_kind(self.stop_kind)
+        return Specure(self)
 
 
 def _toml_value(value) -> str:

@@ -39,6 +39,7 @@ from repro.analysis.fixtures import (
 )
 from repro.boom.config import BoomConfig
 from repro.boom.netlist import build_boom_netlist
+from repro.core.specure import stop_on_kind
 from repro.coverage.lp import LpCoverage
 from repro.ifg.builder import build_ifg_from_design
 from repro.ifg.labeling import label_architectural
@@ -209,7 +210,8 @@ def _run_pinned(name, iterations):
     spec = get_scenario(name).override(iterations=iterations)
     specure = spec.build_specure()
     campaign = specure.build_campaign()
-    report = campaign.run(spec.iterations, stop_when=spec.stop_predicate())
+    report = campaign.run(spec.iterations,
+                          stop_when=stop_on_kind(spec.stop_kind))
     return campaign, report
 
 

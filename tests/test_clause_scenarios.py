@@ -16,6 +16,7 @@ import json
 
 import pytest
 
+from repro.core.specure import stop_on_kind
 from repro.scenarios import get_scenario
 from repro.scenarios.runner import replay_findings, run_scenario
 from repro.scenarios.spec import ScenarioSpec
@@ -49,7 +50,7 @@ class TestCatchScenarioPins:
     def test_seeded_gadget_flagged_at_pinned_iteration(self, name, pin):
         spec = get_scenario(name).override(iterations=pin + 1)
         report = spec.build_specure().build_campaign().run(
-            spec.iterations, stop_when=spec.stop_predicate()
+            spec.iterations, stop_when=stop_on_kind(spec.stop_kind)
         )
         findings = report.fuzz.findings
         assert findings, f"{name}: the seeded gadget was not flagged"
@@ -137,9 +138,9 @@ class TestComposedJobsDeterminism:
     def test_findings_identical_across_jobs_counts(self):
         reference = None
         for jobs in (1, 2):
-            report = _COMPOSED.build_specure().sharded_campaign(
-                _COMPOSED.iterations, shards=_COMPOSED.shards, jobs=jobs
-            )
+            fail_fast = _COMPOSED.override(on_shard_failure="fail",
+                                           max_shard_retries=0)
+            report = run_scenario(fail_fast, jobs=jobs).report
             keys = [_finding_key(f) for f in report.fuzz.findings]
             assert keys, f"jobs={jobs}: no findings"
             if reference is None:

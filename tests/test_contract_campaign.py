@@ -11,9 +11,6 @@ import json
 
 import pytest
 
-from repro.boom.config import BoomConfig
-from repro.boom.vulns import VulnConfig
-from repro.core.online import OnlinePhase
 from repro.core.specure import Specure
 from repro.scenarios import get_scenario, resolve_scenario
 from repro.scenarios.runner import (
@@ -21,6 +18,7 @@ from repro.scenarios.runner import (
     resume_scenario,
     run_scenario,
 )
+from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.store import (
     CampaignStore,
     contract_violation_from_dict,
@@ -33,21 +31,16 @@ from repro.scenarios.store import (
 
 
 def _specure(**overrides) -> Specure:
-    defaults = dict(
-        config=BoomConfig.small(VulnConfig.all()),
-        seed=3,
-        monitor_dcache=True,
-        detector="both",
-    )
+    defaults = dict(seed=3, monitor_dcache=True, detector="both")
     defaults.update(overrides)
-    return Specure(**defaults)
+    return Specure(ScenarioSpec(name="contract", **defaults))
 
 
 class TestOnlinePhaseDispatch:
     def test_unknown_detector_rejected(self):
-        specure = _specure()
-        with pytest.raises(ValueError, match="unknown detector"):
-            OnlinePhase(specure.core, specure.offline(), detector="nope")
+        # The spec rejects it before any pipeline is wired.
+        with pytest.raises(ValueError, match="detector must be one of"):
+            _specure(detector="nope")
 
     def test_ift_mode_has_no_contract_detector(self):
         online = _specure(detector="ift").build_online()
@@ -174,7 +167,7 @@ class TestScenarioAcceptance:
         assert outcome.report.stats.contract_runs > 0
 
     def test_contract_stop_kind_requires_contract_detector(self):
-        from repro.scenarios.spec import ScenarioError, ScenarioSpec
+        from repro.scenarios.spec import ScenarioError
 
         with pytest.raises(ScenarioError, match="never produces one"):
             ScenarioSpec(name="x", stop_kind="contract_ct_seq")

@@ -9,6 +9,7 @@ from repro.core.specure import Specure, stop_on_kind
 from repro.fuzz.triggers import zenbleed_trigger
 from repro.rtl.elaborate import elaborate
 from repro.rtl.parser import parse
+from repro.scenarios.spec import ScenarioSpec
 from tests.test_rtl_parser import LISTING_1
 
 
@@ -17,9 +18,14 @@ def vuln_config():
     return BoomConfig.small(VulnConfig.all())
 
 
+def spec(**knobs) -> ScenarioSpec:
+    """A test campaign on the ``vuln_config`` design (both hooks armed)."""
+    return ScenarioSpec(name="pipeline", **knobs)
+
+
 @pytest.fixture(scope="module")
-def specure(vuln_config):
-    return Specure(vuln_config, seed=1)
+def specure():
+    return Specure(spec(seed=1))
 
 
 class TestOfflinePhase:
@@ -71,7 +77,7 @@ class TestOfflinePhase:
     def test_mwait_direct_edge_absent_when_unarmed(self):
         """Unarmed, dcache reaches the timer CSR only through the normal
         writeback datapath (a csrrw of loaded data) — never directly."""
-        plain = Specure(BoomConfig.small(), seed=1)
+        plain = Specure(spec(vulns=(), seed=1))
         pdlc = plain.offline().pdlc
         direct = [
             item for item in pdlc
@@ -88,7 +94,7 @@ class TestOfflinePhase:
 
 class TestOnlinePhase:
     def test_evaluate_contract(self, specure):
-        online = OnlinePhase(specure.core, specure.offline())
+        online = OnlinePhase(specure.core, specure.offline(), spec())
         items, findings, meta = online.evaluate(zenbleed_trigger())
         assert all(tag == "lp" for tag, _ in items)
         assert any(kind == "zenbleed" for kind, _ in findings)
@@ -96,45 +102,47 @@ class TestOnlinePhase:
         assert online.stats.programs == 1
 
     def test_code_coverage_arm_tracks_lp_curve(self, specure):
-        online = OnlinePhase(specure.core, specure.offline(), coverage="code")
+        online = OnlinePhase(specure.core, specure.offline(),
+                             spec(coverage="code"))
         online.evaluate(zenbleed_trigger())
         assert online.lp_curve and online.lp_curve[0] > 0
 
     def test_bad_coverage_kind(self, specure):
+        # The spec rejects it before any pipeline is wired.
         with pytest.raises(ValueError):
-            OnlinePhase(specure.core, specure.offline(), coverage="???")
+            spec(coverage="???")
 
     def test_mst_accumulates(self, specure):
-        online = OnlinePhase(specure.core, specure.offline())
+        online = OnlinePhase(specure.core, specure.offline(), spec())
         online.evaluate(zenbleed_trigger())
         online.evaluate(zenbleed_trigger())
         assert len(online.mst) >= 2
 
 
 class TestCampaigns:
-    def test_small_campaign_runs(self, vuln_config):
-        specure = Specure(vuln_config, seed=3)
+    def test_small_campaign_runs(self):
+        specure = Specure(spec(seed=3))
         report = specure.campaign(iterations=12)
         assert report.fuzz.iterations == 12
         assert report.fuzz.final_coverage() > 0
         assert report.stats.programs == 12
         assert "Specure campaign report" in report.render()
 
-    def test_stop_on_kind(self, vuln_config):
-        specure = Specure(vuln_config, seed=3, monitor_dcache=True)
+    def test_stop_on_kind(self):
+        specure = Specure(spec(seed=3, monitor_dcache=True))
         report = specure.campaign(
             iterations=50, stop_when=stop_on_kind("spectre_v1")
         )
         assert report.fuzz.iterations < 50
         assert "spectre_v1" in report.detected_kinds()
 
-    def test_campaign_determinism(self, vuln_config):
-        first = Specure(vuln_config, seed=9).campaign(iterations=8)
-        second = Specure(vuln_config, seed=9).campaign(iterations=8)
+    def test_campaign_determinism(self):
+        first = Specure(spec(seed=9)).campaign(iterations=8)
+        second = Specure(spec(seed=9)).campaign(iterations=8)
         assert first.fuzz.coverage_curve == second.fuzz.coverage_curve
 
-    def test_no_special_seeds_mode(self, vuln_config):
-        specure = Specure(vuln_config, seed=3, use_special_seeds=False)
+    def test_no_special_seeds_mode(self):
+        specure = Specure(spec(seed=3, use_special_seeds=False))
         campaign = specure.build_campaign()
         assert all(
             not seed.label.startswith("seed:mispredict")
@@ -143,8 +151,8 @@ class TestCampaigns:
         report = campaign.run(iterations=5)
         assert report.fuzz.iterations == 5
 
-    def test_first_detection_iteration(self, vuln_config):
-        specure = Specure(vuln_config, seed=3, monitor_dcache=True)
+    def test_first_detection_iteration(self):
+        specure = Specure(spec(seed=3, monitor_dcache=True))
         report = specure.campaign(iterations=10)
         if "spectre_v1" in report.detected_kinds():
             assert report.first_detection_iteration("spectre_v1") is not None

@@ -80,3 +80,12 @@ def test_readme_bench_table_is_the_bench_list_output():
     assert f"```text\n{listing}\n```" in readme, (
         "README's bench table is stale: paste the output of "
         "`python -m repro bench --list`")
+
+
+def test_paper_mapping_table_is_the_experiment_registry():
+    from repro.harness.experiments import render_markdown
+
+    mapping = (REPO_ROOT / "docs" / "paper_mapping.md").read_text()
+    assert f"\n{render_markdown()}\n\n" in mapping, (
+        "docs/paper_mapping.md's experiment table is stale: paste the "
+        "output of repro.harness.experiments.render_markdown()")

@@ -10,25 +10,32 @@ at the stop point consistently.
 
 import pytest
 
-from repro.boom import BoomConfig, VulnConfig
 from repro.core.specure import Specure, stop_on_kind
 from repro.harness.parallel import shard_seed
+from repro.scenarios import ScenarioSpec, run_scenario
 
 KIND = "spectre_v2"
 BUDGET = 60
 SEED = 7
 
 
-@pytest.fixture(scope="module")
-def config():
-    return BoomConfig.small(VulnConfig.all())
+def spec(**fields) -> ScenarioSpec:
+    return ScenarioSpec(name="early-stop", seed=SEED, monitor_dcache=True,
+                        iterations=BUDGET, **fields)
+
+
+def sharded(shards: int):
+    """The ``stop_kind`` campaign over ``shards`` inline shards."""
+    return run_scenario(
+        spec(shards=shards, stop_kind=KIND, on_shard_failure="fail",
+             max_shard_retries=0),
+        jobs=1,
+    ).report
 
 
 @pytest.fixture(scope="module")
-def serial_report(config):
-    return Specure(config, seed=SEED, monitor_dcache=True).campaign(
-        BUDGET, stop_when=stop_on_kind(KIND)
-    )
+def serial_report():
+    return Specure(spec()).campaign(BUDGET, stop_when=stop_on_kind(KIND))
 
 
 class TestSerialEarlyStop:
@@ -50,9 +57,8 @@ class TestSerialEarlyStop:
             {item for _i, item in fuzz.discovery_log}
         )
 
-    def test_stop_is_a_pure_truncation_of_the_full_run(self, config,
-                                                       serial_report):
-        full = Specure(config, seed=SEED, monitor_dcache=True).campaign(BUDGET)
+    def test_stop_is_a_pure_truncation_of_the_full_run(self, serial_report):
+        full = Specure(spec()).campaign(BUDGET)
         stopped = serial_report.fuzz
         assert stopped.coverage_curve == \
             full.fuzz.coverage_curve[: stopped.iterations]
@@ -61,25 +67,20 @@ class TestSerialEarlyStop:
 
 
 class TestShardedEarlyStop:
-    def test_one_shard_stop_kind_matches_serial_stop_when(self, config,
+    def test_one_shard_stop_kind_matches_serial_stop_when(self,
                                                           serial_report):
-        sharded = Specure(config, seed=SEED, monitor_dcache=True).sharded_campaign(
-            BUDGET, shards=1, jobs=1, stop_kind=KIND
-        )
-        assert sharded.fuzz.iterations == serial_report.fuzz.iterations
-        assert sharded.first_detection_iteration(KIND) == \
+        one = sharded(1)
+        assert one.fuzz.iterations == serial_report.fuzz.iterations
+        assert one.first_detection_iteration(KIND) == \
             serial_report.first_detection_iteration(KIND)
-        assert sharded.fuzz.coverage_curve == serial_report.fuzz.coverage_curve
-        assert sharded.fuzz.discovery_log == serial_report.fuzz.discovery_log
+        assert one.fuzz.coverage_curve == serial_report.fuzz.coverage_curve
+        assert one.fuzz.discovery_log == serial_report.fuzz.discovery_log
 
-    def test_multi_shard_stamps_match_per_shard_serial_runs(self, config):
+    def test_multi_shard_stamps_match_per_shard_serial_runs(self):
         shards = 2
-        sharded = Specure(config, seed=SEED, monitor_dcache=True).sharded_campaign(
-            BUDGET, shards=shards, jobs=1, stop_kind=KIND
-        )
+        merged = sharded(shards)
         serials = [
-            Specure(config, seed=shard_seed(SEED, shard),
-                    monitor_dcache=True).campaign(
+            Specure(spec().override(seed=shard_seed(SEED, shard))).campaign(
                 BUDGET, stop_when=stop_on_kind(KIND)
             )
             for shard in range(shards)
@@ -91,14 +92,14 @@ class TestShardedEarlyStop:
         for report in serials:
             offsets.append(total)
             total += report.fuzz.iterations
-        assert sharded.fuzz.iterations == total
+        assert merged.fuzz.iterations == total
 
         expected = [
             (offsets[shard] + finding.iteration, finding.kind)
             for shard, report in enumerate(serials)
             for finding in report.fuzz.findings
         ]
-        assert [(f.iteration, f.kind) for f in sharded.fuzz.findings] == \
+        assert [(f.iteration, f.kind) for f in merged.fuzz.findings] == \
             expected
 
         first_serial = min(
@@ -106,13 +107,10 @@ class TestShardedEarlyStop:
             for shard, report in enumerate(serials)
             if report.fuzz.first_finding(KIND) is not None
         )
-        assert sharded.first_detection_iteration(KIND) == first_serial
+        assert merged.first_detection_iteration(KIND) == first_serial
 
-    def test_multi_shard_curve_truncates_consistently(self, config):
-        sharded = Specure(config, seed=SEED, monitor_dcache=True).sharded_campaign(
-            BUDGET, shards=2, jobs=1, stop_kind=KIND
-        )
-        fuzz = sharded.fuzz
+    def test_multi_shard_curve_truncates_consistently(self):
+        fuzz = sharded(2).fuzz
         assert len(fuzz.coverage_curve) == fuzz.iterations
         assert all(
             iteration < fuzz.iterations

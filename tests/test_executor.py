@@ -190,16 +190,14 @@ class TestSharedStatics:
     def test_shared_specure_reuses_statics_and_stays_exact(self):
         """Two campaigns at the same seed through the shared core must
         be byte-identical — engine reuse across campaigns is exact."""
-        from repro.boom.config import BoomConfig
-        from repro.boom.vulns import VulnConfig
         from repro.core.specure import Specure
+        from repro.scenarios.spec import ScenarioSpec
 
-        config = BoomConfig.small(VulnConfig.all())
+        spec = ScenarioSpec(name="shared", seed=11, monitor_dcache=True)
 
         def shared_specure():
-            core, offline = shared_statics(config)
-            return Specure(core=core, offline=offline, seed=11,
-                           monitor_dcache=True)
+            core, offline = shared_statics(spec.build_config())
+            return Specure(spec, core=core, offline=offline)
 
         first = shared_specure()
         second = shared_specure()
@@ -319,8 +317,7 @@ class TestParentStatics:
         from repro.scenarios.runner import ShardTask, _execute_shard
 
         spec = _stored_sweep()
-        task = ShardTask.of(spec.build_specure(), 0,
-                            iterations=spec.iterations)
+        task = ShardTask(spec, 0)
         report, corpus = _execute_shard(task)
         assert report.offline is None
         # What a fleet worker sends down its pipe for this unit.
@@ -329,12 +326,11 @@ class TestParentStatics:
         assert len(blob) < 64 * 1024
 
     def test_dispatch_reattaches_the_parents_one_copy(self):
-        from repro.core.specure import Specure
+        from repro.scenarios.runner import run_scenario
 
-        config = _stored_sweep().build_config()
-        report = Specure(config, seed=3).sharded_campaign(
-            1, shards=2, jobs=2)
-        _core, offline = shared_statics(config)
+        spec = _stored_sweep().override(seed=3, iterations=1, shards=2)
+        report = run_scenario(spec, jobs=2).report
+        _core, offline = shared_statics(spec.build_config())
         assert report.offline is offline
 
     def test_statics_cache_is_counted_per_process(self, tmp_path):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.boom import BoomConfig, VulnConfig
 from repro.harness.campaign import (
     CoverageCurve,
     mean_curve,
@@ -11,6 +10,12 @@ from repro.harness.campaign import (
 )
 from repro.harness.experiments import EXPERIMENTS, render_registry
 from repro.harness.plotting import render_coverage_figure
+from repro.scenarios import ScenarioSpec, run_scenario
+
+
+def spec(**knobs) -> ScenarioSpec:
+    """A campaign on the small core with both hooks armed."""
+    return ScenarioSpec(name="harness", **knobs)
 
 
 class TestCoverageCurve:
@@ -52,59 +57,75 @@ class TestCoverageCurve:
 
 
 class TestCampaignRunners:
-    @pytest.fixture(scope="class")
-    def config(self):
-        return BoomConfig.small(VulnConfig.all())
-
-    def test_coverage_campaign_repeats(self, config):
-        curves = run_coverage_campaign(config, "lp", iterations=6, repeats=2,
-                                       base_seed=5)
+    def test_coverage_campaign_repeats(self):
+        curves = run_coverage_campaign(
+            spec(coverage="lp", iterations=6, seed=5), repeats=2)
         assert len(curves) == 2
         assert all(len(curve.values) == 6 for curve in curves)
         assert all(curve.final() > 0 for curve in curves)
 
-    def test_code_arm_also_reports_lp(self, config):
-        curves = run_coverage_campaign(config, "code", iterations=5,
-                                       repeats=1, base_seed=5)
+    def test_code_arm_also_reports_lp(self):
+        curves = run_coverage_campaign(
+            spec(coverage="code", iterations=5, seed=5), repeats=1)
         assert curves[0].final() > 0  # observed LP coverage, not code items
 
-    def test_detection_campaign(self, config):
+    def test_detection_campaign(self):
         outcome = run_detection_campaign(
-            config, kinds=["spectre_v1"], iterations=40, seed=3,
+            spec(iterations=40, seed=3, monitor_dcache=True),
+            kinds=["spectre_v1"],
         )
         assert outcome.detected("spectre_v1")
         assert outcome.first_detection["spectre_v1"] >= 1
 
-    def test_detection_campaign_budget_exhaustion(self, config):
+    def test_detection_campaign_budget_exhaustion(self):
         outcome = run_detection_campaign(
-            config, kinds=["mwait"], iterations=3, seed=3,
+            spec(iterations=3, seed=3, monitor_dcache=True), kinds=["mwait"],
         )
         assert not outcome.detected("mwait")
 
-    def test_timed_campaign_respects_deadline(self, config):
+    def test_timed_campaign_respects_deadline(self):
         import time
 
-        from repro.harness.campaign import run_timed_campaign
-
         started = time.monotonic()
-        report = run_timed_campaign(config, seconds=2.0, seed=5)
+        outcome = run_scenario(spec(seed=5, monitor_dcache=True),
+                               seconds=2.0)
         elapsed = time.monotonic() - started
-        assert report.fuzz.iterations >= 1
+        assert outcome.report.fuzz.iterations >= 1
         assert elapsed < 10.0  # overshoot bounded by one evaluation
 
-    def test_timed_campaign_rejects_nonpositive(self, config):
-        from repro.harness.campaign import run_timed_campaign
+    def test_timed_campaign_rejects_nonpositive(self):
+        with pytest.raises(ValueError, match="positive"):
+            run_scenario(spec(), seconds=0)
 
-        with pytest.raises(ValueError):
-            run_timed_campaign(config, seconds=0)
+    def test_timed_campaign_cannot_be_stored(self, tmp_path):
+        # A timed shard is not reproducible from its seed, so its run
+        # directory could never be resumed byte-identically.
+        run_dir = tmp_path / "run"
+        with pytest.raises(ValueError, match="run_dir or seconds"):
+            run_scenario(spec(), run_dir=run_dir, seconds=1.0)
+        assert not run_dir.exists()
 
 
 class TestRegistry:
-    def test_eight_experiments(self):
-        assert len(EXPERIMENTS) == 8
+    def test_every_experiment_is_registered(self):
+        # E1-E9 reproduce paper artifacts (E9 the parallel
+        # infrastructure); A1 quantifies the reproduction's ablations.
         assert [spec.identifier for spec in EXPERIMENTS] == [
-            f"E{i}" for i in range(1, 9)
-        ]
+            f"E{i}" for i in range(1, 10)
+        ] + ["A1"]
+
+    def test_scenario_columns_name_registered_scenarios(self):
+        from repro.scenarios import scenario_names
+
+        named = {name for spec in EXPERIMENTS for name in spec.scenarios}
+        assert named <= set(scenario_names())
+
+    def test_slow_flags_match_the_benchmark_markers(self):
+        from pathlib import Path
+
+        for spec in EXPERIMENTS:
+            marked = "pytest.mark.slow" in Path(spec.benchmark).read_text()
+            assert spec.slow == marked, spec.identifier
 
     def test_every_experiment_has_bench(self):
         import os

@@ -21,11 +21,11 @@ from repro import (
 from repro.baselines.exhaustive import ExhaustiveChecker
 from repro.baselines.specdoctor import SpecDoctor
 from repro.baselines.thehuzz import TheHuzz
-from repro.core.online import OnlinePhase
 from repro.core.specure import stop_on_kind
 from repro.fuzz.seeds import special_seeds
 from repro.fuzz.triggers import all_triggers
 from repro.harness.campaign import run_coverage_campaign
+from repro.scenarios.spec import ScenarioSpec
 
 
 @pytest.fixture(scope="module")
@@ -33,46 +33,50 @@ def vuln_config():
     return BoomConfig.small(VulnConfig.all())
 
 
+def spec(**knobs) -> ScenarioSpec:
+    """A test campaign on the ``vuln_config`` design (both hooks armed)."""
+    return ScenarioSpec(name="integration", **knobs)
+
+
 class TestFullPipeline:
-    def test_offline_online_roundtrip(self, vuln_config):
+    def test_offline_online_roundtrip(self):
         """Offline PDLC names must all exist in the online trace."""
-        specure = Specure(vuln_config, seed=2)
+        specure = Specure(spec(seed=2))
         offline = specure.offline()
         result = specure.core.run(special_seeds()[0])
         names = set(result.trace.signal_names)
         for item in offline.pdlc[:200]:
             assert set(item.path) <= names
 
-    def test_campaign_produces_full_report(self, vuln_config):
-        specure = Specure(vuln_config, seed=2, monitor_dcache=True)
+    def test_campaign_produces_full_report(self):
+        specure = Specure(spec(seed=2, monitor_dcache=True))
         report = specure.campaign(iterations=20)
         text = report.render()
         assert "IFG:" in text
         assert "iterations: 20" in text
         assert len(report.mst) > 0
 
-    def test_detection_of_all_kinds_via_pipeline(self, vuln_config):
+    def test_detection_of_all_kinds_via_pipeline(self):
         """Feeding the canonical triggers through the online phase
         detects every vulnerability class with a root cause."""
-        specure = Specure(vuln_config, seed=2, monitor_dcache=True)
-        online = OnlinePhase(specure.core, specure.offline(),
-                             monitor_dcache=True)
+        specure = Specure(spec(seed=2, monitor_dcache=True))
+        online = specure.build_online()
         for kind, program in all_triggers().items():
             _, reports = online.run_once(program)
             matching = [r for r in reports if r.kind == kind]
             assert matching, f"{kind} not detected"
             assert matching[0].root_causes, f"{kind} has no root cause"
 
-    def test_lp_beats_code_on_short_run(self, vuln_config):
+    def test_lp_beats_code_on_short_run(self):
         """The Figure 2 shape holds even at integration-test scale."""
-        lp = run_coverage_campaign(vuln_config, "lp", iterations=25,
-                                   repeats=1, base_seed=3)[0]
-        code = run_coverage_campaign(vuln_config, "code", iterations=25,
-                                     repeats=1, base_seed=3)[0]
+        lp = run_coverage_campaign(
+            spec(coverage="lp", iterations=25, seed=3), repeats=1)[0]
+        code = run_coverage_campaign(
+            spec(coverage="code", iterations=25, seed=3), repeats=1)[0]
         assert lp.final() >= code.final()
 
-    def test_stop_on_kind_spectre(self, vuln_config):
-        specure = Specure(vuln_config, seed=2, monitor_dcache=True)
+    def test_stop_on_kind_spectre(self):
+        specure = Specure(spec(seed=2, monitor_dcache=True))
         report = specure.campaign(60, stop_when=stop_on_kind("spectre_v1"))
         assert "spectre_v1" in report.detected_kinds()
 
@@ -105,9 +109,9 @@ class TestFullPipeline:
         outcome = checker.run(budget=20, max_depth=1)
         assert outcome.candidates_checked == 16  # depth-1 alphabet
 
-    def test_report_determinism_across_instances(self, vuln_config):
-        a = Specure(vuln_config, seed=5, monitor_dcache=True).campaign(10)
-        b = Specure(vuln_config, seed=5, monitor_dcache=True).campaign(10)
+    def test_report_determinism_across_instances(self):
+        a = Specure(spec(seed=5, monitor_dcache=True)).campaign(10)
+        b = Specure(spec(seed=5, monitor_dcache=True)).campaign(10)
         assert a.fuzz.coverage_curve == b.fuzz.coverage_curve
         assert [r.kind for r in a.reports] == [r.kind for r in b.reports]
 
@@ -115,15 +119,13 @@ class TestFullPipeline:
 class TestCrossConfigConsistency:
     @pytest.mark.parametrize("preset", ["small", "medium"])
     def test_presets_run_and_detect(self, preset):
-        config = getattr(BoomConfig, preset)(VulnConfig.all())
-        specure = Specure(config, seed=2, monitor_dcache=True)
-        online = OnlinePhase(specure.core, specure.offline(),
-                             monitor_dcache=True)
+        specure = Specure(spec(design=preset, seed=2, monitor_dcache=True))
+        online = specure.build_online()
         _, reports = online.run_once(all_triggers()["zenbleed"])
         assert "zenbleed" in {r.kind for r in reports}
 
     def test_medium_offline_larger(self):
-        small = Specure(BoomConfig.small(VulnConfig.all()), seed=1).offline()
-        medium = Specure(BoomConfig.medium(VulnConfig.all()), seed=1).offline()
+        small = Specure(spec(design="small")).offline()
+        medium = Specure(spec(design="medium")).offline()
         assert medium.ifg.vertex_count > small.ifg.vertex_count
         assert len(medium.pdlc) > len(small.pdlc)

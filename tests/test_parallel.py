@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.boom import BoomConfig, VulnConfig
 from repro.core.online import OnlineStats
 from repro.detection.mst import MisspeculationTable
 from repro.detection.windows import DetectedWindow
@@ -15,9 +14,21 @@ from repro.harness.campaign import (
 from repro.harness.parallel import (
     merge_campaign_results,
     merge_reports,
-    run_sharded_campaign,
     shard_seed,
 )
+from repro.scenarios import ScenarioSpec, run_scenario
+
+
+def spec(**fields) -> ScenarioSpec:
+    """A campaign on the small core with both hooks armed."""
+    return ScenarioSpec(name="parallel", **fields)
+
+
+def sharded(campaign: ScenarioSpec, jobs: int | None):
+    """``campaign``'s merged report, failing fast on any shard error."""
+    fail_fast = campaign.override(on_shard_failure="fail",
+                                  max_shard_retries=0)
+    return run_scenario(fail_fast, jobs=jobs).report
 
 
 def window(tag, start, end, mispredicted=True):
@@ -157,10 +168,6 @@ class TestCampaignResultMerge:
 
 
 class TestShardedCampaigns:
-    @pytest.fixture(scope="class")
-    def config(self):
-        return BoomConfig.small(VulnConfig.all())
-
     def test_shard_zero_runs_at_the_base_seed(self):
         # One-shard campaigns must be indistinguishable from serial runs.
         assert shard_seed(5, 0) == 5
@@ -185,30 +192,25 @@ class TestShardedCampaigns:
         }
         assert len(set(streams.values())) == len(streams)
 
-    def test_sharded_coverage_identical_to_serial(self, config):
-        serial = run_coverage_campaign(
-            config, "lp", iterations=5, repeats=2, base_seed=7
-        )
-        sharded = run_coverage_campaign(
-            config, "lp", iterations=5, repeats=2, base_seed=7, jobs=2
-        )
+    def test_sharded_coverage_identical_to_serial(self):
+        campaign = spec(coverage="lp", iterations=5, seed=7)
+        serial = run_coverage_campaign(campaign, repeats=2)
+        parallel = run_coverage_campaign(campaign, repeats=2, jobs=2)
         assert [(c.label, c.values) for c in serial] == \
-            [(c.label, c.values) for c in sharded]
+            [(c.label, c.values) for c in parallel]
 
-    def test_parallel_detection_matches_serial(self, config):
-        serial = run_detection_campaign(
-            config, ["spectre_v1"], iterations=12, seed=3
-        )
+    def test_parallel_detection_matches_serial(self):
+        campaign = spec(iterations=12, seed=3, monitor_dcache=True)
+        serial = run_detection_campaign(campaign, ["spectre_v1"])
         parallel = run_detection_campaign(
-            config, ["spectre_v1", "zenbleed"], iterations=12, seed=3, jobs=2
+            campaign, ["spectre_v1", "zenbleed"], jobs=2
         )
         assert parallel.first_detection.get("spectre_v1") == \
             serial.first_detection.get("spectre_v1")
 
-    def test_sharded_campaign_merges_into_one_report(self, config):
-        report = run_sharded_campaign(
-            config, iterations_per_shard=4, shards=2, jobs=2, base_seed=11
-        )
+    def test_sharded_campaign_merges_into_one_report(self):
+        report = sharded(spec(iterations=4, shards=2, seed=11,
+                              monitor_dcache=True), jobs=2)
         assert report.fuzz.iterations == 8
         assert report.stats.programs == 8
         assert len(report.fuzz.coverage_curve) == 8
@@ -217,13 +219,11 @@ class TestShardedCampaigns:
         # The merged report renders like any serial report.
         assert "Specure campaign report" in report.render()
 
-    def test_sharded_campaign_inline_equals_processes(self, config):
-        inline = run_sharded_campaign(
-            config, iterations_per_shard=3, shards=2, jobs=1, base_seed=11
-        )
-        procs = run_sharded_campaign(
-            config, iterations_per_shard=3, shards=2, jobs=2, base_seed=11
-        )
+    def test_sharded_campaign_inline_equals_processes(self):
+        campaign = spec(iterations=3, shards=2, seed=11,
+                        monitor_dcache=True)
+        inline = sharded(campaign, jobs=1)
+        procs = sharded(campaign, jobs=2)
         assert inline.fuzz.coverage_curve == procs.fuzz.coverage_curve
         # Timing fields are wall clock; every counter is deterministic.
         for field in ("programs", "cycles", "instructions", "windows",
@@ -234,36 +234,36 @@ class TestShardedCampaigns:
         assert [r.kind for r in inline.reports] == \
             [r.kind for r in procs.reports]
 
-    def test_sharded_campaign_forwards_random_seed_count(self, config):
+    def test_sharded_campaign_forwards_random_seed_count(self):
         from repro.core.specure import Specure
 
-        specure = Specure(config, seed=11, random_seed_count=2)
-        serial = specure.campaign(6)
-        sharded = specure.sharded_campaign(6, shards=1, jobs=1)
+        campaign = spec(seed=11, random_seed_count=2, iterations=6)
+        serial = Specure(campaign).campaign(6)
+        one_shard = sharded(campaign, jobs=1)
         # One shard must be indistinguishable from the serial run, so a
         # non-default seed corpus has to reach the shard workers too.
-        assert sharded.fuzz.coverage_curve == serial.fuzz.coverage_curve
-        assert sharded.stats.cycles == serial.stats.cycles
+        assert one_shard.fuzz.coverage_curve == serial.fuzz.coverage_curve
+        assert one_shard.stats.cycles == serial.stats.cycles
 
-    def test_shard_spec_rejects_bad_shard_count(self, config):
+    def test_shard_spec_rejects_bad_shard_count(self):
         with pytest.raises(ValueError):
-            run_sharded_campaign(config, 3, shards=0)
+            spec(iterations=3, shards=0)
 
-    def test_shard_spec_is_picklable(self, config):
+    def test_shard_spec_is_picklable(self):
         import pickle
 
-        from repro.core.specure import Specure
         from repro.scenarios.runner import ShardTask
 
-        task = ShardTask.of(Specure(config, seed=9, random_seed_count=2),
-                            1, iterations=3)
+        task = ShardTask(spec(seed=9, random_seed_count=2, iterations=3), 1)
         clone = pickle.loads(pickle.dumps(task))
         assert clone == task
         assert clone.seed == shard_seed(9, 1)
-        assert clone.knobs["random_seed_count"] == 2
+        assert clone.spec.random_seed_count == 2
 
 
-#: One non-default value per Specure knob, with the companion knobs
+#: One non-default value per :class:`ScenarioSpec` campaign knob — the
+#: spec fields the campaign itself reads, as opposed to the design, the
+#: seed, the campaign shape and resilience — with the companion fields
 #: that make it observable within ``_GUARD_ITERATIONS`` (the contract
 #: knobs act only under a contract detector; the mutation knobs only
 #: once the special seeds stop leading the corpus).
@@ -287,24 +287,23 @@ _GUARD_ITERATIONS = 10
 class TestKnobForwarding:
     """Every knob reaches the shard worker through the ShardTask."""
 
-    @pytest.fixture(scope="class")
-    def config(self):
-        return BoomConfig.small(VulnConfig.all())
-
-    def test_knob_list_is_the_constructor(self):
+    def test_constructors_take_the_spec(self):
         import inspect
 
+        from repro.core.online import OnlinePhase
         from repro.core.specure import Specure
-        from repro.scenarios.spec import ScenarioSpec
+        from repro.scenarios.runner import ShardTask
 
-        params = set(inspect.signature(Specure).parameters)
-        assert set(Specure.KNOBS) == \
-            params - {"config", "seed", "core", "offline"}
-        assert set(_KNOB_VALUES) == set(Specure.KNOBS)
-        assert set(Specure.KNOBS) <= set(ScenarioSpec.__dataclass_fields__)
+        def params(callable_):
+            return set(inspect.signature(callable_).parameters)
+
+        assert params(Specure) == {"spec", "core", "offline"}
+        assert params(OnlinePhase) == {"core", "offline", "spec"}
+        assert "knobs" not in ShardTask.__dataclass_fields__
+        assert set(_KNOB_VALUES) <= set(ScenarioSpec.__dataclass_fields__)
 
     @pytest.mark.parametrize("knob", sorted(_KNOB_VALUES))
-    def test_one_shard_renders_the_serial_report(self, config, knob):
+    def test_one_shard_renders_the_serial_report(self, knob):
         from repro.core.specure import Specure
 
         value, companions = _KNOB_VALUES[knob]
@@ -313,11 +312,10 @@ class TestKnobForwarding:
             return (report.render(include_timings=False),
                     report.fuzz.coverage_curve, report.stats.cycles)
 
-        specure = Specure(config, seed=5, **companions, **{knob: value})
-        serial = render(specure.campaign(_GUARD_ITERATIONS))
-        sharded = render(specure.sharded_campaign(
-            _GUARD_ITERATIONS, shards=1, jobs=1))
-        default = render(
-            Specure(config, seed=5, **companions).campaign(_GUARD_ITERATIONS))
+        base = spec(seed=5, iterations=_GUARD_ITERATIONS, **companions)
+        campaign = base.override(**{knob: value})
+        serial = render(Specure(campaign).campaign(_GUARD_ITERATIONS))
+        one_shard = render(sharded(campaign, jobs=1))
+        default = render(Specure(base).campaign(_GUARD_ITERATIONS))
         assert serial != default, f"{knob}={value!r} changes nothing here"
-        assert sharded == serial
+        assert one_shard == serial

@@ -46,10 +46,10 @@ class TestExports:
 
 class TestReportExport:
     def test_to_dict_is_json_serialisable(self):
-        from repro import BoomConfig, Specure, VulnConfig
+        from repro import ScenarioSpec, Specure
 
-        specure = Specure(BoomConfig.small(VulnConfig.all()), seed=4,
-                          monitor_dcache=True)
+        specure = Specure(ScenarioSpec(name="export", seed=4,
+                                       monitor_dcache=True))
         report = specure.campaign(iterations=8)
         payload = report.to_dict()
         text = json.dumps(payload)
@@ -59,11 +59,11 @@ class TestReportExport:
         assert isinstance(restored["detections"], list)
 
     def test_detection_entries(self):
-        from repro import BoomConfig, Specure, VulnConfig
+        from repro import ScenarioSpec, Specure
         from repro.core.specure import stop_on_kind
 
-        specure = Specure(BoomConfig.small(VulnConfig.all()), seed=3,
-                          monitor_dcache=True)
+        specure = Specure(ScenarioSpec(name="export", seed=3,
+                                       monitor_dcache=True))
         report = specure.campaign(60, stop_when=stop_on_kind("spectre_v1"))
         payload = report.to_dict()
         kinds = {entry["kind"] for entry in payload["detections"]}

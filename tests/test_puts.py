@@ -20,6 +20,7 @@ import pytest
 from repro.boom.config import BoomConfig
 from repro.boom.core import BoomCore
 from repro.contracts.hwtrace import HardwareTraceCollector
+from repro.core.online import OnlinePhase
 from repro.core.specure import Specure, stop_on_kind
 from repro.fuzz.input import TestProgram
 from repro.fuzz.seeds import special_seeds
@@ -199,33 +200,45 @@ class TestModelFidelity:
             self.assert_matches(put, program)
 
 
+def spec_cpu(**knobs) -> ScenarioSpec:
+    """A campaign on the Verilog core (seed 0 unless given)."""
+    knobs.setdefault("seed", 0)
+    return ScenarioSpec(name="spec-cpu", design="spec-cpu", vulns=(),
+                        **knobs)
+
+
 class TestSpecCpuCampaign:
     def test_both_detectors_find_the_seeded_leak(self):
-        specure = Specure(RtlPutConfig(), seed=3, monitor_dcache=True,
-                          detector="both", contract="ct-seq",
-                          inputs_per_class=2)
+        specure = Specure(spec_cpu(seed=3, monitor_dcache=True,
+                                   detector="both", contract="ct-seq",
+                                   inputs_per_class=2))
         report = specure.campaign(40, stop_when=stop_on_kind("spectre_v1"))
         kinds = {r.kind for r in report.reports}
         assert "spectre_v1" in kinds
         assert "contract_ct_seq" in kinds
 
     def test_sharded_merge_matches_inline(self):
-        from repro.harness.parallel import run_sharded_campaign
+        from repro.scenarios import run_scenario
 
-        pooled = run_sharded_campaign(RtlPutConfig(), 4, shards=2, jobs=2,
-                                      base_seed=7, monitor_dcache=True)
-        inline = run_sharded_campaign(RtlPutConfig(), 4, shards=2, jobs=None,
-                                      base_seed=7, monitor_dcache=True)
+        spec = spec_cpu(seed=7, monitor_dcache=True, iterations=4, shards=2,
+                        on_shard_failure="fail", max_shard_retries=0)
+        pooled = run_scenario(spec, jobs=2).report
+        inline = run_scenario(spec, jobs=None).report
         assert pooled.fuzz.iterations == inline.fuzz.iterations
         assert [r.kind for r in pooled.reports] == \
             [r.kind for r in inline.reports]
         assert pooled.stats.cycles == inline.stats.cycles
 
     def test_unsupported_clause_is_rejected_at_wiring_time(self):
-        specure = Specure(RtlPutConfig(), detector="contract",
-                          contract="ct-cond")
+        # The spec refuses the clause for the spec-cpu design ...
+        with pytest.raises(ValueError, match="implements only"):
+            spec_cpu(detector="contract", contract="ct-cond")
+        # ... and the online phase refuses it for the core it is given.
+        rtl = Specure(spec_cpu())
+        boom_spec = ScenarioSpec(name="boom", detector="contract",
+                                 contract="ct-cond")
         with pytest.raises(ValueError, match="not supported"):
-            specure.build_online()
+            OnlinePhase(rtl.core, rtl.offline(), boom_spec)
 
 
 class TestSpecCpuScenarios:

@@ -184,9 +184,10 @@ class TestFleet:
 
     def test_attempt_stamping_duck_types(self):
         from repro.scenarios.runner import ShardTask
+        from repro.scenarios.spec import ScenarioSpec
 
         assert parallel._stamp_attempt("plain", 2) == "plain"
-        task = ShardTask(config=None, shard=4, seed=9, iterations=1)
+        task = ShardTask(ScenarioSpec(name="x", iterations=1), shard=4)
         assert parallel._stamp_attempt(task, 1) is task
         assert parallel._stamp_attempt(task, 3).attempt == 3
 

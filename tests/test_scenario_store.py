@@ -60,12 +60,10 @@ class TestProgramRoundTrip:
 
 class TestShardReportRoundTrip:
     def test_report_survives_json(self, sweep_spec):
-        task = ShardTask.of(sweep_spec.build_specure(), 0,
-                            iterations=sweep_spec.iterations)
-        report, _corpus = _execute_shard(task)
+        report, _corpus = _execute_shard(ShardTask(sweep_spec, 0))
         # Shard reports travel without offline artifacts; the
         # dispatching parent attaches its own copy, as here.
-        _core, offline = shared_statics(task.config)
+        _core, offline = shared_statics(sweep_spec.build_config())
         report = replace(report, offline=offline)
         payload = json.loads(json.dumps(
             shard_report_to_dict(0, sweep_spec.seed, report)

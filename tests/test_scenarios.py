@@ -134,27 +134,36 @@ class TestBridges:
             splice_probability=0.5, mutation_rounds=7,
         )
         specure = spec.build_specure()
-        assert specure.coverage == "code"
-        assert specure.monitor_dcache is True
-        assert specure.seed == 42
-        assert specure.use_special_seeds is False
-        assert specure.random_seed_count == 2
-        assert specure.splice_probability == 0.5
-        assert specure.mutation_rounds == 7
+        assert specure.spec is spec
+        campaign = specure.build_campaign()
+        assert campaign.online.coverage_kind == "code"
+        assert campaign.online.vulnerability.monitor_dcache is True
+        # No special seeds: the corpus is the two random seed programs.
+        assert len(campaign.fuzzer.seeds) == 2
+        assert campaign.fuzzer.splice_probability == 0.5
+        assert campaign.fuzzer.mutation_rounds == 7
 
     def test_build_specure_seed_override(self):
-        assert ScenarioSpec(name="x", seed=1).build_specure(seed=9).seed == 9
+        # A different seed is a different spec: override() is the one
+        # spelling, and the campaign reads it from there.
+        moved = ScenarioSpec(name="x", seed=1).override(seed=9)
+        assert moved.build_specure().spec == ScenarioSpec(name="x", seed=9)
 
     def test_stop_predicate(self):
+        from repro.core.specure import stop_on_kind
         from repro.fuzz.fuzzer import FuzzFinding
         from repro.fuzz.input import TestProgram
 
         spec = ScenarioSpec(name="x", stop_kind="zenbleed")
-        predicate = spec.stop_predicate()
+        predicate = stop_on_kind(spec.stop_kind)
         finding = FuzzFinding(iteration=0, kind="zenbleed", detail=None,
                               program=TestProgram(words=[0x13]))
         assert predicate([finding]) and not predicate([])
-        assert ScenarioSpec(name="x").stop_predicate() is None
+        assert stop_on_kind(ScenarioSpec(name="x").stop_kind) is None
+        # A wall-clock budget stops on its own once it has passed.
+        assert stop_on_kind(None, seconds=1e-9)([])
+        timed = stop_on_kind("zenbleed", seconds=3600)
+        assert timed([finding]) and not timed([])
 
 
 class TestRegistry:

@@ -263,12 +263,11 @@ class TestGoldenTraceMemo:
         """ct-cond campaigns re-request the ct-seq architectural view
         through the memo; the online stats must carry the traffic."""
         from repro.core.specure import Specure
-        from repro.boom.config import BoomConfig
-        from repro.boom.vulns import VulnConfig
+        from repro.scenarios.spec import ScenarioSpec
 
-        specure = Specure(BoomConfig.small(VulnConfig.all()), seed=1,
-                          monitor_dcache=True, detector="contract",
-                          contract="ct-cond")
+        specure = Specure(ScenarioSpec(
+            name="memo", seed=1, monitor_dcache=True, detector="contract",
+            contract="ct-cond"))
         report = specure.campaign(6)
         stats = report.stats
         assert stats.memo_hits + stats.memo_misses >= 1

@@ -5,7 +5,6 @@ import pytest
 from repro.baselines.specdoctor import SpecDoctor
 from repro.boom import BoomConfig, BoomCore, VulnConfig
 from repro.core.offline import run_offline
-from repro.core.online import OnlinePhase
 from repro.core.specure import Specure
 from repro.fuzz.triggers import (
     all_triggers,
@@ -15,13 +14,13 @@ from repro.fuzz.triggers import (
     spectre_v2_trigger,
     zenbleed_trigger,
 )
+from repro.scenarios.spec import ScenarioSpec
 
 
 @pytest.fixture(scope="module")
 def online():
-    specure = Specure(BoomConfig.small(VulnConfig.all()), seed=1,
-                      monitor_dcache=True)
-    return OnlinePhase(specure.core, specure.offline(), monitor_dcache=True)
+    spec = ScenarioSpec(name="triggers", seed=1, monitor_dcache=True)
+    return Specure(spec).build_online()
 
 
 class TestTriggerPrograms:

@@ -13,7 +13,9 @@ Performed statically, once per processor-under-test (paper §3.1):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from typing import Any
 
 from repro.analysis.taint import StaticClassification, classify_pdlc
 from repro.telemetry import span as telemetry_span
@@ -40,6 +42,26 @@ class OfflineArtifacts:
     #: Static PDLC labels (repro.analysis.taint); None only for
     #: artifacts constructed by callers that skip classification.
     classification: StaticClassification | None = None
+    #: Online statics derived from these artifacts (see :meth:`derived`).
+    _derived: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
+
+    def derived(self, key: tuple, build: Callable[[], Any]) -> Any:
+        """The value ``build()`` returns, built once per ``key``.
+
+        For immutable structures the online phase derives from the PDLC
+        list (the LP coverage groups, the vulnerability detector's
+        destination index): every online phase built on these artifacts
+        with the same inputs shares one, including the phases of forked
+        shard workers, which inherit the parent's.  ``key`` must name
+        every input ``build`` reads besides the artifacts.  The cache
+        lives and dies with the artifacts — no module-level state keeps
+        them alive.
+        """
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = build()
+        return value
 
     def summary(self, include_timings: bool = True) -> str:
         """The paper's §4.1 numbers for this PUT.

@@ -110,17 +110,24 @@ class OnlinePhase:
         # never what counts as a leak.
         include = None
         if spec.static_prune and offline.classification is not None:
-            include = offline.classification.live_indices()
-        self.lp = LpCoverage(offline.pdlc, signal_names, include=include)
+            include = frozenset(offline.classification.live_indices())
+        # The coverage groups and the detector's destination index are
+        # immutable, so every phase on these artifacts shares them.
+        self.lp = offline.derived(
+            ("lp", tuple(signal_names), "path", include),
+            lambda: LpCoverage(offline.pdlc, signal_names, include=include))
         self.code = CodeCoverage()
         self.leakage = LeakageDetector(signal_map.windows)
-        self.vulnerability = VulnerabilityDetector(
-            offline.pdlc,
-            monitor_dcache=spec.monitor_dcache,
-            line_bytes=core.config.line_bytes,
-            dcache_sets=core.config.dcache_sets,
-            signal_map=signal_map,
-        )
+        self.vulnerability = offline.derived(
+            ("vulnerability", spec.monitor_dcache, core.config.line_bytes,
+             core.config.dcache_sets, signal_map),
+            lambda: VulnerabilityDetector(
+                offline.pdlc,
+                monitor_dcache=spec.monitor_dcache,
+                line_bytes=core.config.line_bytes,
+                dcache_sets=core.config.dcache_sets,
+                signal_map=signal_map,
+            ))
         self.contract: ContractDetector | None = None
         if spec.detector in ("contract", "both"):
             contract = spec.effective_contract()

@@ -34,7 +34,8 @@ class Corpus:
 
     max_entries: int = 256
     entries: list[CorpusEntry] = field(default_factory=list)
-    _fingerprints: set[int] = field(default_factory=set)
+    #: :meth:`TestProgram.key` of every retained entry.
+    _keys: set[tuple] = field(default_factory=set)
 
     def add(self, program: TestProgram, new_items: int) -> bool:
         """Retain an input that found ``new_items`` new coverage items.
@@ -42,16 +43,16 @@ class Corpus:
         Returns False for duplicates.  When full, the lowest-energy
         entry is evicted.
         """
-        fingerprint = program.fingerprint()
-        if fingerprint in self._fingerprints:
+        key = program.key()
+        if key in self._keys:
             return False
-        self._fingerprints.add(fingerprint)
+        self._keys.add(key)
         self.entries.append(CorpusEntry(program.copy(), new_items))
         if len(self.entries) > self.max_entries:
             weakest = min(range(len(self.entries)),
                           key=lambda i: self.entries[i].energy())
             evicted = self.entries.pop(weakest)
-            self._fingerprints.discard(evicted.program.fingerprint())
+            self._keys.discard(evicted.program.key())
         return True
 
     def pick(self, rng: DeterministicRng) -> CorpusEntry:

@@ -100,11 +100,20 @@ class TestProgram:
         clone.words = words or [0]
         return clone
 
-    def fingerprint(self) -> int:
-        """Cheap content hash for corpus deduplication."""
-        return hash((
+    def key(self) -> tuple:
+        """The program's exact content: every field a run reads (words,
+        register context, data seed, cycle budget, memory overlay) and
+        nothing else (``label`` is provenance, not content).  Two
+        programs with equal keys run identically, so this is the one
+        identity for corpus deduplication and for probe memos."""
+        return (
             tuple(self.words),
             tuple(self.reg_init),
             self.data_seed,
+            self.max_cycles,
             tuple(sorted(self.memory_overlay.items())),
-        ))
+        )
+
+    def fingerprint(self) -> int:
+        """Cheap content hash: the hash of :meth:`key`."""
+        return hash(self.key())

@@ -39,10 +39,13 @@ per campaign), each behind its own pipe.  Every process keeps
 **shared read-only statics** per ``(design, config)`` — the elaborated
 netlist or RTL design inside a reusable PUT backend
 (:func:`repro.puts.base.build_put`), its decode caches, and the offline
-artifacts (:func:`shared_statics`).  :class:`ShardDispatch` builds them
-in the parent before the first unit is dispatched, so a fleet forked
-afterwards inherits them and a shard costs exactly its fuzzing loop;
-shard reports travel back without their offline artifacts.  Each shard
+artifacts with the online statics derived from them
+(:func:`shared_statics`, :meth:`OfflineArtifacts.derived`).
+:class:`ShardDispatch` builds them in the parent before the first unit
+is dispatched, so a fleet forked afterwards inherits them and a shard
+costs exactly its fuzzing loop; the fork runs under ``gc.freeze()``, so
+a worker's collections never rescan them.  Shard reports travel back
+without their offline artifacts.  Each shard
 is one deterministic work unit (unit id = spec position) handed to
 whichever worker is idle, so a slow unit never idles the others;
 results are re-assembled by unit id (:func:`map_shards`), keeping
@@ -79,6 +82,7 @@ Merge semantics
 from __future__ import annotations
 
 import atexit
+import gc
 import multiprocessing
 import signal
 import time
@@ -304,7 +308,14 @@ class _WorkerFleet:
         parent_conn, child_conn = self.ctx.Pipe()
         process = self.ctx.Process(
             target=_fleet_worker_main, args=(child_conn,), daemon=True)
-        process.start()
+        # A forked child starts with everything frozen, so its
+        # collections never rescan the statics it inherited; the
+        # parent thaws at once and keeps collecting its own garbage.
+        gc.freeze()
+        try:
+            process.start()
+        finally:
+            gc.unfreeze()
         child_conn.close()
         return _FleetWorker(process, parent_conn)
 
@@ -698,18 +709,22 @@ class ShardDispatch:
 
     The offline phase runs once per processor under test (§3.1), and so
     does a sharded campaign.  Construction builds the parent's
-    :class:`Specure` for ``spec`` on :func:`shared_statics` before any
-    unit is dispatched, so a worker fleet forked afterwards inherits the
-    PUT and its offline artifacts copy-on-write.  (A fleet forked earlier, for
-    another design, builds its own on first use.)  The shard worker
-    returns its report with ``offline=None`` — the artifacts are the
-    bulk of a pickled report — and :meth:`receive` re-attaches the
-    parent's one copy as each shard arrives.
+    :class:`Specure` for ``spec`` on :func:`shared_statics`, and its
+    online pipeline (:attr:`online`, which the finding minimizer
+    reuses), before any unit is dispatched.  A worker fleet forked
+    afterwards inherits the PUT, the offline artifacts and the online
+    statics derived from them copy-on-write, so a shard's own online
+    phase builds nothing but its per-campaign state.  (A fleet forked
+    earlier, for another design, builds its own on first use.)  The
+    shard worker returns its report with ``offline=None`` — the
+    artifacts are the bulk of a pickled report — and :meth:`receive`
+    re-attaches the parent's one copy as each shard arrives.
     """
 
     def __init__(self, spec):
         core, offline = shared_statics(spec.build_config())
         self.specure = Specure(spec, core=core, offline=offline)
+        self.online = self.specure.build_online()
 
     def receive(self, units):
         """Re-yield the ``(task, result)`` pairs of an :func:`imap_shards`

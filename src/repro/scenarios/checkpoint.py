@@ -137,7 +137,7 @@ def restore_campaign(record: dict, campaign):
         program = program_from_dict(entry["program"])
         corpus.entries.append(
             CorpusEntry(program, entry["new_items"], picks=entry["picks"]))
-        corpus._fingerprints.add(program.fingerprint())
+        corpus._keys.add(program.key())
     fuzzer.corpus = corpus
 
     saved = state["online"]

@@ -331,37 +331,60 @@ def _contained_run_once(online: OnlinePhase, program: TestProgram):
         return None, [crash_report(error)]
 
 
+def _outcome(kind: str, report) -> tuple[str, str | None]:
+    """What a probe keeps of one report: its kind and, for a crash, the
+    exception type it raised."""
+    return kind, report.exception if kind == CRASH_KIND else None
+
+
+class _ProbeOutcomes:
+    """One run's memo of contained probe outcomes.
+
+    A probe's outcome depends only on the program (``run_once`` never
+    consults the chaos plan), so each distinct program —
+    :meth:`TestProgram.key` — runs once per run, however many findings
+    share it or however often a trim revisits it.  An outcome is the
+    ``(kind, crash exception)`` pair of every report, never the run
+    itself.  Executed probes count as ``minimize.probes``, memo hits as
+    ``minimize.probe_hits``.
+    """
+
+    def __init__(self, online: OnlinePhase):
+        self._online = online
+        self._outcomes: dict[tuple, tuple[tuple[str, str | None], ...]] = {}
+
+    def __call__(self, program: TestProgram):
+        key = program.key()
+        recorder = telemetry.recorder()
+        outcome = self._outcomes.get(key)
+        if outcome is not None:
+            recorder.count("minimize.probe_hits")
+            return outcome
+        with recorder.span("minimize/probe"):
+            _, reports = _contained_run_once(self._online, program)
+        recorder.count("minimize.probes")
+        outcome = self._outcomes[key] = tuple(
+            _outcome(report.kind, report) for report in reports)
+        return outcome
+
+
 class _Minimizer:
-    """Trims finding programs against a lazily-built online pipeline."""
+    """Trims finding programs against one run's online pipeline."""
 
-    def __init__(self, specure):
-        self._specure = specure
-        self._online: OnlinePhase | None = None
-
-    def _pipeline(self) -> OnlinePhase:
-        if self._online is None:
-            self._online = self._specure.build_online()
-        return self._online
+    def __init__(self, online: OnlinePhase):
+        self._probe = _ProbeOutcomes(online)
 
     def minimize(self, findings: list[FuzzFinding]) -> dict[int, TestProgram]:
         minimized: dict[int, TestProgram] = {}
         recorder = telemetry.recorder()
         for index, finding in enumerate(findings):
-            online = self._pipeline()
+            # A crash minimizes against its own signature: the trimmed
+            # program must still raise the *same* exception type, not
+            # just any exception.
+            wanted = _outcome(finding.kind, finding.detail)
 
-            def still_leaks(program, kind=finding.kind,
-                            detail=finding.detail):
-                with recorder.span("minimize/probe"):
-                    _, reports = _contained_run_once(online, program)
-                recorder.count("minimize.probes")
-                if kind == CRASH_KIND:
-                    # A crash minimizes against its own signature: the
-                    # trimmed program must still raise the *same*
-                    # exception type, not just any exception.
-                    return any(r.kind == CRASH_KIND
-                               and r.exception == detail.exception
-                               for r in reports)
-                return kind in {report.kind for report in reports}
+            def still_leaks(program, wanted=wanted):
+                return wanted in self._probe(program)
 
             # trim_program itself asserts the predicate on the input
             # first; a finding that does not reproduce in isolation
@@ -572,7 +595,7 @@ def _drive_campaign(
         if shard not in resumed
     ]
     policy = _resilience_policy(spec, telemetry_dir)
-    minimizer = _Minimizer(specure)
+    minimizer = _Minimizer(dispatch.online)
     recorder = telemetry.recorder()
     fresh: dict[int, CampaignReport] = {}
     failures: dict[int, UnitFailure] = {}
@@ -653,25 +676,27 @@ def replay_findings(run_dir: str | Path) -> list[ReplayResult]:
     """Re-confirm every stored finding without fuzzing.
 
     Each finding's persisted program (the minimized form when one was
-    stored) runs once through a fresh online pipeline built from the
-    stored scenario; the finding is confirmed when the same vulnerability
-    kind is reported again.  Crash findings run through the contained
-    probe, confirming when the program still raises.
+    stored) runs through an online pipeline built from the stored
+    scenario on this process's shared statics, once per distinct
+    program (the minimizer's probe memo); the finding is confirmed when
+    the same vulnerability kind is reported again.  Crash findings run
+    through the contained probe, confirming when the program still
+    raises.
     """
     store = CampaignStore.open(run_dir)
     spec = store.spec
-    specure = spec.build_specure()
-    online = specure.build_online()
+    core, offline = shared_statics(spec.build_config())
+    probe = _ProbeOutcomes(
+        Specure(spec, core=core, offline=offline).build_online())
     results = []
     for record in store.findings():
         payload = record["minimized"] or record["program"]
-        program = program_from_dict(payload)
-        _, reports = _contained_run_once(online, program)
+        outcome = probe(program_from_dict(payload))
         results.append(ReplayResult(
             shard=record["shard"],
             index=record["index"],
             kind=record["kind"],
-            confirmed=record["kind"] in {r.kind for r in reports},
+            confirmed=any(kind == record["kind"] for kind, _ in outcome),
             used_minimized=record["minimized"] is not None,
             detector=record.get("detector", "ift"),
         ))

@@ -73,9 +73,6 @@ class StaticClassification:
         """PDLC indices that are not provably dead (coverage keeps these)."""
         return {i for i, label in enumerate(self.labels) if label != DEAD}
 
-    def dead_indices(self) -> set[int]:
-        return {i for i, label in enumerate(self.labels) if label == DEAD}
-
     def counts(self) -> dict[str, int]:
         """Channel count per label, in ranking order."""
         out = {label: 0 for label in LABELS}

@@ -25,7 +25,7 @@ from repro.core.offline import OfflineArtifacts
 from repro.detection.leakage import LeakageDetector
 from repro.detection.vulnerability import VulnerabilityDetector
 from repro.fuzz.input import TestProgram
-from repro.fuzz.seeds import _context
+from repro.fuzz.seeds import seed_context
 from repro.isa.assembler import assemble
 from repro.telemetry import timed as telemetry_timed
 
@@ -113,7 +113,7 @@ class ExhaustiveChecker:
             + "    ecall\n"
         )
         words = assemble(source)
-        return _context(TestProgram(words=words, label="exhaustive",
+        return seed_context(TestProgram(words=words, label="exhaustive",
                                     max_cycles=400))
 
     def check(self, sequence: tuple[str, ...]) -> set[str]:

@@ -54,7 +54,7 @@ _LINK_REGS = (1, 5)
 
 #: Pre-built coverage-point names (an f-string per commit/issue shows up
 #: in profiles at campaign scale).
-_COMMIT_POINTS = {cls: f"commit.{cls.value}" for cls in ExecClass}
+COMMIT_POINTS = {cls: f"commit.{cls.value}" for cls in ExecClass}
 _EXEC_POINTS = {cls: f"exec.{cls.value}" for cls in ExecClass}
 
 
@@ -531,7 +531,7 @@ class _Engine:
         self.rob.pop_head()
         self.instret += 1
         self.last_commit_cycle = self.cycle
-        self._bump(_COMMIT_POINTS[cls])
+        self._bump(COMMIT_POINTS[cls])
         # tuple.__new__ skips the generated NamedTuple __new__ — one
         # Commit per committed instruction; field order as declared.
         self.commits.append(tuple.__new__(Commit, (

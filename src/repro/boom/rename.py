@@ -99,6 +99,3 @@ class RenameTable:
             for index in range(32):
                 if saved[index] in rob_indices:
                     saved[index] = None
-
-    def live_snapshot_keys(self) -> list[int]:
-        return list(self._snapshots)

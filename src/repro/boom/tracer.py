@@ -84,9 +84,6 @@ class TraceWriter:
         self.trace.record_changes(self.cycle, self.values, values)
         self.values[:] = values
 
-    def set_by_name(self, name: str, value: int) -> None:
-        self.set(self._index[name], value)
-
     def get(self, index: int) -> int:
         return self.values[index]
 

@@ -38,6 +38,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.utils import rundir
+
 ENV_VAR = "REPRO_CHAOS"
 
 KINDS = ("worker-crash", "worker-hang", "torn-write", "step-exception")
@@ -91,10 +93,11 @@ def active_plan() -> ChaosPlan | None:
         return None
     if _CACHE is not None and _CACHE[0] == value:
         return _CACHE[1]
-    text = value
     if value.startswith("@"):
-        text = Path(value[1:]).read_text(encoding="utf-8")
-    plan = plan_from_dict(json.loads(text))
+        data = rundir.read_json_object(value[1:], ValueError)
+    else:
+        data = json.loads(value)
+    plan = plan_from_dict(data)
     _CACHE = (value, plan)
     return plan
 

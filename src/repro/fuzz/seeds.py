@@ -54,7 +54,7 @@ _DATA = 0x8100_0000
 _PROTECTED = 0x8180_0000
 
 
-def _context(program: TestProgram) -> TestProgram:
+def seed_context(program: TestProgram) -> TestProgram:
     """Deterministic register context shared by the special seeds.
 
     s0..s6 point into the data region; s2/s3 are small non-zero values
@@ -88,7 +88,7 @@ def mispredict_seed() -> TestProgram:
         ecall
         """
     )
-    return _context(TestProgram(words=words, label="seed:mispredict"))
+    return seed_context(TestProgram(words=words, label="seed:mispredict"))
 
 
 def bti_seed() -> TestProgram:
@@ -126,7 +126,7 @@ def bti_seed() -> TestProgram:
         ecall                # 84
         """
     )
-    return _context(TestProgram(words=words, label="seed:bti"))
+    return seed_context(TestProgram(words=words, label="seed:bti"))
 
 
 def rsb_seed() -> TestProgram:
@@ -148,7 +148,7 @@ def rsb_seed() -> TestProgram:
         ecall                # 40
         """
     )
-    return _context(TestProgram(words=words, label="seed:rsb"))
+    return seed_context(TestProgram(words=words, label="seed:rsb"))
 
 
 def store_bypass_seed() -> TestProgram:
@@ -174,7 +174,7 @@ def store_bypass_seed() -> TestProgram:
         ecall
         """
     )
-    return _context(TestProgram(words=words, label="seed:store-bypass"))
+    return seed_context(TestProgram(words=words, label="seed:store-bypass"))
 
 
 def meltdown_seed() -> TestProgram:
@@ -194,7 +194,7 @@ def meltdown_seed() -> TestProgram:
         ecall
         """
     )
-    program = _context(TestProgram(words=words, label="seed:meltdown"))
+    program = seed_context(TestProgram(words=words, label="seed:meltdown"))
     program.reg_init[23] = _PROTECTED  # s7
     return program
 
@@ -228,7 +228,7 @@ def ret_leak_seed() -> TestProgram:
         ecall                # 52
         """
     )
-    return _context(TestProgram(words=words, label="seed:ret-leak"))
+    return seed_context(TestProgram(words=words, label="seed:ret-leak"))
 
 
 def special_seeds(speculation: tuple[str, ...] = ()) -> list[TestProgram]:

@@ -17,7 +17,7 @@ change is the hardware zeroing — the leak.
 from __future__ import annotations
 
 from repro.fuzz.input import TestProgram
-from repro.fuzz.seeds import _context, bti_seed, mispredict_seed
+from repro.fuzz.seeds import bti_seed, mispredict_seed, seed_context
 from repro.isa.assembler import assemble
 
 
@@ -75,7 +75,8 @@ def spectre_v2_secret_trigger() -> TestProgram:
         ecall                # 100
         """
     )
-    return _context(TestProgram(words=words, label="trigger:spectre_v2_secret"))
+    return seed_context(
+        TestProgram(words=words, label="trigger:spectre_v2_secret"))
 
 
 def mwait_trigger() -> TestProgram:
@@ -102,7 +103,7 @@ def mwait_trigger() -> TestProgram:
         ecall
         """
     )
-    return _context(TestProgram(words=words, label="trigger:mwait"))
+    return seed_context(TestProgram(words=words, label="trigger:mwait"))
 
 
 def zenbleed_trigger() -> TestProgram:
@@ -122,7 +123,7 @@ def zenbleed_trigger() -> TestProgram:
         ecall
         """
     )
-    return _context(TestProgram(words=words, label="trigger:zenbleed"))
+    return seed_context(TestProgram(words=words, label="trigger:zenbleed"))
 
 
 def all_triggers() -> dict[str, TestProgram]:

@@ -61,9 +61,5 @@ class SparseMemory:
         for index, word in enumerate(words):
             self.write(base + 4 * index, word, 4)
 
-    def written_addresses(self) -> set[int]:
-        """Addresses that have been explicitly written (for assertions)."""
-        return set(self._bytes)
-
     def __contains__(self, address: int) -> bool:
         return (address & mask(64)) in self._bytes

@@ -99,6 +99,7 @@ from repro.core.specure import Specure
 from repro.detection.vulnerability import LeakReport
 from repro.fuzz.fuzzer import CampaignResult
 from repro.puts.base import Put, build_put, statics_key
+from repro.utils import rundir
 from repro.utils.rng import stable_hash
 
 
@@ -399,17 +400,15 @@ def _progress_stamp(policy: RetryPolicy, item, unit_id: int,
     """Wall-clock time of the unit's last observed progress.
 
     The later of when the unit was assigned and the last modification
-    of its telemetry heartbeat log (PR 9's ``shard-NNNN.jsonl``, beats
-    flushed per line) — so a long unit that is *beating* is never shot,
-    while a hung one times out even mid-unit.  Beats older than the
+    of its telemetry heartbeat log (beats flushed per line) — so a long
+    unit that is *beating* is never shot, while a hung one times out
+    even mid-unit.  Beats older than the
     assignment are debris of a previous attempt and do not count.
     """
     if policy.progress_dir is None:
         return assigned_at
-    from repro.telemetry.heartbeat import shard_filename
-
-    path = Path(policy.progress_dir) / shard_filename(
-        _shard_of(item, unit_id))
+    path = Path(policy.progress_dir) / rundir.shard_file(
+        _shard_of(item, unit_id), ".jsonl")
     try:
         mtime = path.stat().st_mtime
     except OSError:

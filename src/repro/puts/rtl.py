@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from repro.boom.core import _COMMIT_POINTS, Commit, CoreResult
+from repro.boom.core import COMMIT_POINTS, Commit, CoreResult
 from repro.boom.tracer import TraceWriter
 from repro.contracts.clauses import GoldenTraceMemo
 from repro.detection.windows import extract_windows
@@ -283,7 +283,7 @@ class RtlPut(Put):
             is_halt=bool(halt),
         ))
         self._last_commit_cycle = self.cycle
-        point = _COMMIT_POINTS[decode(word).exec_class]
+        point = COMMIT_POINTS[decode(word).exec_class]
         self.coverage[point] = self.coverage.get(point, 0) + 1
         if values[slots.c_mispred]:
             self.coverage["mispredict"] = self.coverage.get("mispredict", 0) + 1

@@ -10,65 +10,57 @@ exactly the draws and discoveries an uninterrupted run would have made
 from that iteration on.  The fidelity contract is pinned by test:
 checkpointed-resume ``report.txt`` is byte-identical to a straight run.
 
-Records are JSON (one per shard, written atomically by the store into
-``checkpoints/shard-NNNN.json``) and validate against the
-``checkpoint`` record type in ``docs/telemetry.schema.json``.  The
-golden-trace memo is deliberately *not* captured: it is a pure cache,
-so a cold memo after resume changes wall-clock counters only, never
-campaign output.
+Records are JSON (one per shard, written atomically into the run
+directory's checkpoint directory, :mod:`repro.utils.rundir`) and
+validate against the ``checkpoint`` record type in
+``docs/telemetry.schema.json``.  The golden-trace memo is deliberately
+*not* captured: it is a pure cache, so a cold memo after resume changes
+wall-clock counters only, never campaign output.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 from repro.core.online import OnlineStats
 from repro.detection.windows import DetectedWindow
 from repro.fuzz.corpus import Corpus, CorpusEntry
 from repro.scenarios.store import (
-    _decode_item,
-    _encode_item,
-    _stats_to_dict,
-    _window_to_dict,
     campaign_result_from_dict,
     campaign_result_to_dict,
+    decode_item,
+    encode_item,
+    online_stats_to_dict,
     program_from_dict,
     program_to_dict,
     report_from_dict,
     report_to_dict,
+    window_to_dict,
 )
+from repro.utils import rundir
 
 #: Bump when the state layout changes; mismatched checkpoints are
 #: ignored (the shard restarts from iteration 0 — always correct).
 CHECKPOINT_VERSION = 1
 
 
-def checkpoint_filename(shard: int) -> str:
-    """The per-shard checkpoint file name (mirrors shard artifacts)."""
-    return f"shard-{shard:04d}.json"
-
-
 def save_checkpoint(directory: str | Path, shard: int, record: dict) -> None:
-    """Atomically write one shard's checkpoint (tmp + ``os.replace``),
-    so a crash mid-write leaves the previous checkpoint intact."""
-    path = Path(directory) / checkpoint_filename(shard)
-    tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(record) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    """Atomically write one shard's checkpoint, so a crash mid-write
+    leaves the previous checkpoint intact."""
+    rundir.write_atomic(Path(directory) / rundir.shard_file(shard),
+                        json.dumps(record) + "\n")
 
 
 def load_checkpoint(directory: str | Path, shard: int) -> dict | None:
     """Read a shard's checkpoint; a missing, torn, or mislabelled file
     degrades to None (restart from iteration 0 — always correct)."""
-    path = Path(directory) / checkpoint_filename(shard)
     try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
+        record = rundir.read_json_object(
+            Path(directory) / rundir.shard_file(shard), ValueError)
+    except (OSError, ValueError):
         return None
-    if not isinstance(record, dict) or record.get("type") != "checkpoint" \
-            or record.get("shard") != shard:
+    if record.get("type") != "checkpoint" or record.get("shard") != shard:
         return None
     return record
 
@@ -88,7 +80,7 @@ def checkpoint_record(shard: int, seed: int, next_iteration: int,
         # Sets serialise sorted by repr (heterogeneous item tuples are
         # not order-comparable): byte-stable files, identical restores.
         "coverage": sorted(
-            (_encode_item(item) for item in fuzzer.coverage), key=repr),
+            (encode_item(item) for item in fuzzer.coverage), key=repr),
         "corpus": [
             {
                 "program": program_to_dict(entry.program),
@@ -99,8 +91,8 @@ def checkpoint_record(shard: int, seed: int, next_iteration: int,
         ],
         "result": campaign_result_to_dict(result),
         "online": {
-            "stats": _stats_to_dict(online.stats),
-            "mst": [_window_to_dict(w) for w in online.mst.rows],
+            "stats": online_stats_to_dict(online.stats),
+            "mst": [window_to_dict(w) for w in online.mst.rows],
             "reports": [report_to_dict(r) for r in online.reports],
             "lp_covered": sorted(online.lp_covered),
             "lp_curve": list(online.lp_curve),
@@ -131,7 +123,7 @@ def restore_campaign(record: dict, campaign):
 
     fuzzer.rng.setstate(state["rng"])
     fuzzer.mutator.rng.setstate(state["mutator_rng"])
-    fuzzer.coverage = {_decode_item(item) for item in state["coverage"]}
+    fuzzer.coverage = {decode_item(item) for item in state["coverage"]}
     corpus = Corpus(max_entries=fuzzer.corpus.max_entries)
     for entry in state["corpus"]:
         program = program_from_dict(entry["program"])

@@ -9,7 +9,7 @@ user-defined specs at runtime; scenario *files* (TOML/JSON) load through
 
 from __future__ import annotations
 
-from repro.scenarios.spec import ScenarioError, ScenarioSpec, _suggest
+from repro.scenarios.spec import ScenarioError, ScenarioSpec, suggest
 from repro.utils.text import ascii_table
 
 _BUILTIN_SCENARIOS: tuple[ScenarioSpec, ...] = (
@@ -270,7 +270,7 @@ def get_scenario(name: str) -> ScenarioSpec:
         return _REGISTRY[name]
     except KeyError:
         raise ScenarioError(
-            f"unknown scenario {name!r}{_suggest(name, scenario_names())}; "
+            f"unknown scenario {name!r}{suggest(name, scenario_names())}; "
             f"`python -m repro list-scenarios` prints the registry"
         ) from None
 

@@ -79,14 +79,13 @@ from repro.scenarios.store import (
 )
 from repro.telemetry import export as telemetry_export
 from repro.telemetry.export import TelemetrySummary
-from repro.telemetry.heartbeat import HeartbeatWriter, shard_filename
+from repro.telemetry.heartbeat import HeartbeatWriter
 from repro.telemetry.runstats import (
-    CAMPAIGN_FILE,
-    SUMMARY_FILE,
     load_run_telemetry,
     summarize,
     summarize_recorder,
 )
+from repro.utils import rundir
 from repro.utils.text import ascii_table
 
 
@@ -171,8 +170,8 @@ def _shard_corpus(campaign) -> list[tuple[TestProgram, int]]:
     ]
 
 
-def _shard_observer(heartbeat: HeartbeatWriter | None, shard: int,
-                    telemetry_dir: str | None) -> FuzzObserver | None:
+def _shard_observer(heartbeat: HeartbeatWriter | None,
+                    shard: int) -> FuzzObserver | None:
     """Compose the shard's per-iteration hooks into one observer.
 
     Telemetry heartbeats plus (under an armed ``REPRO_CHAOS`` plan) the
@@ -181,11 +180,10 @@ def _shard_observer(heartbeat: HeartbeatWriter | None, shard: int,
     tooling expect.
     """
     callbacks = []
+    chaos_path = None
     if heartbeat is not None:
         callbacks.append(heartbeat.on_iteration)
-    chaos_path = None
-    if telemetry_dir is not None:
-        chaos_path = Path(telemetry_dir) / shard_filename(shard)
+        chaos_path = heartbeat.path
     chaos = faultinject.fuzz_observer(shard, chaos_path)
     if chaos is not None:
         callbacks.append(chaos)
@@ -232,7 +230,7 @@ def _run_shard_campaign(
     report = campaign.run(
         iterations,
         stop_when=stop_when,
-        observer=_shard_observer(heartbeat, task.shard, task.telemetry_dir),
+        observer=_shard_observer(heartbeat, task.shard),
         checkpoint_every=spec.checkpoint_every if checkpointing else 0,
         on_checkpoint=on_checkpoint,
         start_iteration=start_iteration,
@@ -513,17 +511,12 @@ def _finish_telemetry(recorder, store: CampaignStore | None,
     records.extend(span.to_dict() for span in recorder.spans())
     records.extend(telemetry_export.metric_records(recorder.metrics))
     tdir = store.telemetry_dir(create=True)
-    telemetry_export.write_jsonl(tdir / CAMPAIGN_FILE, records)
+    telemetry_export.write_jsonl(tdir / rundir.CAMPAIGN_LOG, records)
     summary = summarize(load_run_telemetry(store.root))
-    _atomic_summary(tdir / SUMMARY_FILE, summary)
+    rundir.write_atomic(
+        tdir / rundir.SUMMARY_FILE,
+        json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n")
     return summary
-
-
-def _atomic_summary(path: Path, summary: TelemetrySummary) -> None:
-    tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(summary.to_dict(), indent=2, sort_keys=True)
-                   + "\n", encoding="utf-8")
-    os.replace(tmp, path)
 
 
 def _resilience_policy(spec: ScenarioSpec,

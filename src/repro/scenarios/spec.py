@@ -73,7 +73,7 @@ class ScenarioError(ValueError):
     """A scenario spec failed validation; the message says how to fix it."""
 
 
-def _suggest(unknown: str, options: tuple[str, ...] | list[str]) -> str:
+def suggest(unknown: str, options: tuple[str, ...] | list[str]) -> str:
     matches = difflib.get_close_matches(unknown, list(options), n=1)
     return f" (did you mean {matches[0]!r}?)" if matches else ""
 
@@ -202,13 +202,13 @@ class ScenarioSpec:
         if self.design not in DESIGNS:
             self._fail(
                 f"design must be one of {', '.join(DESIGNS)}; "
-                f"got {self.design!r}{_suggest(self.design, DESIGNS)}"
+                f"got {self.design!r}{suggest(self.design, DESIGNS)}"
             )
         for hook in self.vulns:
             if hook not in VULN_HOOKS:
                 self._fail(
                     f"unknown vulnerability hook {hook!r}; armable hooks "
-                    f"are {', '.join(VULN_HOOKS)}{_suggest(str(hook), VULN_HOOKS)}"
+                    f"are {', '.join(VULN_HOOKS)}{suggest(str(hook), VULN_HOOKS)}"
                 )
         if len(set(self.vulns)) != len(self.vulns):
             self._fail(f"vulns lists a hook twice: {list(self.vulns)}")
@@ -217,7 +217,7 @@ class ScenarioSpec:
         if self.coverage not in COVERAGES:
             self._fail(
                 f"coverage must be one of {', '.join(COVERAGES)}; "
-                f"got {self.coverage!r}{_suggest(str(self.coverage), COVERAGES)}"
+                f"got {self.coverage!r}{suggest(str(self.coverage), COVERAGES)}"
             )
         self._expect_type("seed", int)
         self._expect_type("use_special_seeds", bool)
@@ -242,7 +242,7 @@ class ScenarioSpec:
         if self.detector not in DETECTORS:
             self._fail(
                 f"detector must be one of {', '.join(DETECTORS)}; "
-                f"got {self.detector!r}{_suggest(str(self.detector), DETECTORS)}"
+                f"got {self.detector!r}{suggest(str(self.detector), DETECTORS)}"
             )
         self._expect_type("contract", str)
         try:
@@ -254,7 +254,7 @@ class ScenarioSpec:
                 self._fail(
                     f"unknown execution clause {member!r}; composable "
                     f"members are {', '.join(EXECUTION_CLAUSES)}"
-                    f"{_suggest(str(member), EXECUTION_CLAUSES)}"
+                    f"{suggest(str(member), EXECUTION_CLAUSES)}"
                 )
         if len(set(self.execution_clauses)) != len(self.execution_clauses):
             self._fail(
@@ -270,7 +270,7 @@ class ScenarioSpec:
                 self._fail(
                     f"unknown speculation mechanism {mechanism!r}; armable "
                     f"mechanisms are {', '.join(SPECULATION_MECHANISMS)}"
-                    f"{_suggest(str(mechanism), SPECULATION_MECHANISMS)}"
+                    f"{suggest(str(mechanism), SPECULATION_MECHANISMS)}"
                 )
         if len(set(self.speculation)) != len(self.speculation):
             self._fail(
@@ -323,13 +323,13 @@ class ScenarioSpec:
                 f"on_shard_failure must be one of "
                 f"{', '.join(SHARD_FAILURE_POLICIES)}; got "
                 f"{self.on_shard_failure!r}"
-                f"{_suggest(str(self.on_shard_failure), SHARD_FAILURE_POLICIES)}"
+                f"{suggest(str(self.on_shard_failure), SHARD_FAILURE_POLICIES)}"
             )
         if self.stop_kind is not None and self.stop_kind not in STOP_KINDS:
             self._fail(
                 f"stop_kind must be one of {', '.join(STOP_KINDS)} or "
                 f"omitted; got {self.stop_kind!r}"
-                f"{_suggest(str(self.stop_kind), STOP_KINDS)}"
+                f"{suggest(str(self.stop_kind), STOP_KINDS)}"
             )
         if self.design == "spec-cpu":
             if self.vulns:
@@ -403,7 +403,7 @@ class ScenarioSpec:
         unknown = [key for key in data if key not in known]
         if unknown:
             hints = "".join(
-                f"\n  unknown key {key!r}{_suggest(key, known)}"
+                f"\n  unknown key {key!r}{suggest(key, known)}"
                 for key in sorted(unknown)
             )
             raise ScenarioError(

@@ -39,7 +39,6 @@ pure function of the configuration and are never stored).
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 from repro.contracts.detector import ContractViolation
@@ -52,6 +51,7 @@ from repro.fuzz.crash import CrashReport
 from repro.fuzz.fuzzer import CampaignResult, FuzzFinding
 from repro.fuzz.input import TestProgram
 from repro.scenarios.spec import ScenarioError, ScenarioSpec
+from repro.utils import rundir
 
 SCHEMA_VERSION = 1
 
@@ -70,17 +70,17 @@ class StoreError(RuntimeError):
 # JSON codecs for the campaign artifact types
 # ----------------------------------------------------------------------
 
-def _encode_item(item):
+def encode_item(item):
     """Coverage items are flat tuples of str/int; JSON turns tuples into
     arrays, so decoding maps arrays back to tuples (recursively)."""
     if isinstance(item, (list, tuple)):
-        return [_encode_item(part) for part in item]
+        return [encode_item(part) for part in item]
     return item
 
 
-def _decode_item(item):
+def decode_item(item):
     if isinstance(item, list):
-        return tuple(_decode_item(part) for part in item)
+        return tuple(decode_item(part) for part in item)
     return item
 
 
@@ -153,8 +153,8 @@ def contract_violation_to_dict(violation: ContractViolation) -> dict:
         "member_a": violation.member_a,
         "member_b": violation.member_b,
         "diverged_at": violation.diverged_at,
-        "observation_a": _encode_item(violation.observation_a),
-        "observation_b": _encode_item(violation.observation_b),
+        "observation_a": encode_item(violation.observation_a),
+        "observation_b": encode_item(violation.observation_b),
         "secret_lines": list(violation.secret_lines),
     }
 
@@ -168,8 +168,8 @@ def contract_violation_from_dict(data: dict) -> ContractViolation:
         member_a=data["member_a"],
         member_b=data["member_b"],
         diverged_at=data["diverged_at"],
-        observation_a=_decode_item(data["observation_a"]),
-        observation_b=_decode_item(data["observation_b"]),
+        observation_a=decode_item(data["observation_a"]),
+        observation_b=decode_item(data["observation_b"]),
         secret_lines=tuple(data["secret_lines"]),
     )
 
@@ -262,7 +262,7 @@ def campaign_result_to_dict(result: CampaignResult) -> dict:
         "corpus_size": result.corpus_size,
         "executed_programs": result.executed_programs,
         "discovery_log": [
-            [iteration, _encode_item(item)]
+            [iteration, encode_item(item)]
             for iteration, item in result.discovery_log
         ],
         "findings": [_finding_to_dict(f) for f in result.findings],
@@ -275,18 +275,18 @@ def campaign_result_from_dict(data: dict) -> CampaignResult:
     result.corpus_size = data["corpus_size"]
     result.executed_programs = data["executed_programs"]
     result.discovery_log = [
-        (iteration, _decode_item(item))
+        (iteration, decode_item(item))
         for iteration, item in data["discovery_log"]
     ]
     result.findings = [_finding_from_dict(f) for f in data["findings"]]
     return result
 
 
-def _stats_to_dict(stats: OnlineStats) -> dict:
+def online_stats_to_dict(stats: OnlineStats) -> dict:
     return dict(vars(stats))
 
 
-def _window_to_dict(window: DetectedWindow) -> dict:
+def window_to_dict(window: DetectedWindow) -> dict:
     return {
         "tag": window.tag, "start": window.start, "end": window.end,
         "pc": window.pc, "word": window.word,
@@ -304,8 +304,8 @@ def shard_report_to_dict(shard: int, seed: int,
         "detectors": list(report.detectors),
         "static_prune": report.static_prune,
         "fuzz": campaign_result_to_dict(report.fuzz),
-        "stats": _stats_to_dict(report.stats),
-        "mst": [_window_to_dict(w) for w in report.mst.rows],
+        "stats": online_stats_to_dict(report.stats),
+        "mst": [window_to_dict(w) for w in report.mst.rows],
         "reports": [report_to_dict(r) for r in report.reports],
     }
 
@@ -331,26 +331,12 @@ def shard_report_from_dict(data: dict, offline) -> CampaignReport:
 # The store
 # ----------------------------------------------------------------------
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write-then-rename so readers never observe a partial file."""
-    temporary = path.with_suffix(path.suffix + ".tmp")
-    temporary.write_text(text)
-    os.replace(temporary, path)
-
-
 class CampaignStore:
-    """One campaign's run directory (create, append, resume, replay)."""
+    """One campaign's run directory (create, append, resume, replay).
 
-    SCENARIO_FILE = "scenario.json"
-    META_FILE = "meta.json"
-    SHARD_DIR = "shards"
-    FINDINGS_FILE = "findings.jsonl"
-    CORPUS_FILE = "corpus.jsonl"
-    COVERAGE_FILE = "coverage.jsonl"
-    REPORT_FILE = "report.txt"
-    TELEMETRY_DIR = "telemetry"
-    QUARANTINE_FILE = "quarantine.jsonl"
-    CHECKPOINT_DIR = "checkpoints"
+    The directory's layout and file primitives belong to
+    :mod:`repro.utils.rundir`; the store owns the records in it.
+    """
 
     def __init__(self, root: str | Path, spec: ScenarioSpec, meta: dict):
         self.root = Path(root)
@@ -361,8 +347,8 @@ class CampaignStore:
         """Where ``--telemetry`` artifacts live (per-shard JSONL logs,
         the campaign log, and the atomic summary — see
         :mod:`repro.telemetry.runstats`).  Shard logs merge by shard id
-        exactly like the shard artifacts under :attr:`SHARD_DIR`."""
-        path = self.root / self.TELEMETRY_DIR
+        exactly like the shard artifacts."""
+        path = self.root / rundir.TELEMETRY_DIR
         if create:
             path.mkdir(parents=True, exist_ok=True)
         return path
@@ -373,12 +359,12 @@ class CampaignStore:
     def create(cls, root: str | Path, spec: ScenarioSpec) -> "CampaignStore":
         """Start a fresh campaign directory (refuses to clobber one)."""
         root = Path(root)
-        if (root / cls.SCENARIO_FILE).exists():
+        if cls.is_store(root):
             raise StoreError(
                 f"{root} already holds a campaign; resume it with "
                 f"`python -m repro resume {root}` or pick another --out"
             )
-        (root / cls.SHARD_DIR).mkdir(parents=True, exist_ok=True)
+        (root / rundir.SHARD_DIR).mkdir(parents=True, exist_ok=True)
         meta = {
             "schema": SCHEMA_VERSION,
             "status": STATUS_RUNNING,
@@ -387,7 +373,7 @@ class CampaignStore:
             "shards": spec.shards,
         }
         store = cls(root, spec, meta)
-        _atomic_write(root / cls.SCENARIO_FILE, spec.to_json())
+        rundir.write_atomic(root / rundir.SCENARIO_FILE, spec.to_json())
         store._write_meta()
         return store
 
@@ -395,30 +381,27 @@ class CampaignStore:
     def open(cls, root: str | Path) -> "CampaignStore":
         """Open an existing campaign directory."""
         root = Path(root)
-        scenario_path = root / cls.SCENARIO_FILE
+        scenario_path = root / rundir.SCENARIO_FILE
         if not scenario_path.exists():
             raise StoreError(
                 f"{root} is not a campaign directory "
-                f"(missing {cls.SCENARIO_FILE})"
+                f"(missing {rundir.SCENARIO_FILE})"
             )
         try:
             spec = ScenarioSpec.from_json(
-                scenario_path.read_text(), source=str(scenario_path)
+                scenario_path.read_text(encoding="utf-8"),
+                source=str(scenario_path),
             )
         except ScenarioError as error:
             raise StoreError(f"cannot load {scenario_path}: {error}") from None
         try:
-            meta = json.loads((root / cls.META_FILE).read_text())
+            meta = rundir.read_json_object(root / rundir.META_FILE,
+                                           StoreError)
         except FileNotFoundError:
             raise StoreError(
-                f"{root} has a scenario but no {cls.META_FILE} — the "
+                f"{root} has a scenario but no {rundir.META_FILE} — the "
                 f"campaign was interrupted during creation; delete the "
                 f"directory and run the scenario again"
-            ) from None
-        except json.JSONDecodeError as error:
-            raise StoreError(
-                f"{root / cls.META_FILE} is not valid JSON ({error}); "
-                f"the store is corrupt"
             ) from None
         if meta.get("schema") != SCHEMA_VERSION:
             raise StoreError(
@@ -429,11 +412,11 @@ class CampaignStore:
 
     @staticmethod
     def is_store(root: str | Path) -> bool:
-        return (Path(root) / CampaignStore.SCENARIO_FILE).exists()
+        return (Path(root) / rundir.SCENARIO_FILE).exists()
 
     def _write_meta(self) -> None:
-        _atomic_write(
-            self.root / self.META_FILE,
+        rundir.write_atomic(
+            self.root / rundir.META_FILE,
             json.dumps(self.meta, indent=2) + "\n",
         )
 
@@ -448,17 +431,14 @@ class CampaignStore:
     # -- shard artifacts ----------------------------------------------------
 
     def _shard_path(self, shard: int) -> Path:
-        return self.root / self.SHARD_DIR / f"shard-{shard:04d}.json"
+        return self.root / rundir.SHARD_DIR / rundir.shard_file(shard)
 
     def completed_shards(self) -> list[int]:
         """Indices of shards whose artifacts are fully persisted."""
-        directory = self.root / self.SHARD_DIR
-        if not directory.is_dir():
-            return []
-        indices = []
-        for path in directory.glob("shard-*.json"):
-            indices.append(int(path.stem.split("-")[1]))
-        return sorted(indices)
+        return sorted(
+            rundir.shard_index(path)
+            for path in rundir.shard_files(self.root / rundir.SHARD_DIR)
+        )
 
     def record_shard(
         self,
@@ -477,7 +457,7 @@ class CampaignStore:
         shard but ``completed_shards`` never lies.
         """
         minimized = minimized or {}
-        with (self.root / self.FINDINGS_FILE).open("a") as stream:
+        with (self.root / rundir.FINDINGS_FILE).open("a") as stream:
             for index, finding in enumerate(report.fuzz.findings):
                 record = {
                     "shard": shard,
@@ -498,20 +478,20 @@ class CampaignStore:
                     ),
                 }
                 stream.write(json.dumps(record) + "\n")
-        with (self.root / self.CORPUS_FILE).open("a") as stream:
+        with (self.root / rundir.CORPUS_FILE).open("a") as stream:
             for program, new_items in corpus_entries:
                 stream.write(json.dumps({
                     "shard": shard,
                     "new_items": new_items,
                     "program": program_to_dict(program),
                 }) + "\n")
-        with (self.root / self.COVERAGE_FILE).open("a") as stream:
+        with (self.root / rundir.COVERAGE_FILE).open("a") as stream:
             stream.write(json.dumps({
                 "shard": shard,
                 "seed": seed,
                 "curve": list(report.fuzz.coverage_curve),
             }) + "\n")
-        _atomic_write(
+        rundir.write_atomic(
             self._shard_path(shard),
             json.dumps(shard_report_to_dict(shard, seed, report)) + "\n",
         )
@@ -521,50 +501,37 @@ class CampaignStore:
         path = self._shard_path(shard)
         if not path.exists():
             raise StoreError(f"shard {shard} has no artifacts in {self.root}")
-        return shard_report_from_dict(json.loads(path.read_text()), offline)
+        data = rundir.read_json_object(path, StoreError)
+        try:
+            return shard_report_from_dict(data, offline)
+        except (KeyError, TypeError, ValueError) as error:
+            raise StoreError(
+                f"{path} is not a valid shard record "
+                f"({type(error).__name__}: {error}); the store is corrupt"
+            ) from None
 
     # -- findings / corpus readback -----------------------------------------
 
     def _read_jsonl(self, name: str) -> list[dict]:
-        """Decode one append-only JSONL file.
-
-        A process killed mid-append can leave a torn *final* line; that
-        is expected crash debris (the line's shard never completed and
-        resume re-runs it), so it is dropped.  An undecodable line
-        anywhere else means real corruption and raises.
-        """
-        path = self.root / name
-        if not path.exists():
-            return []
-        lines = [line for line in path.read_text().splitlines()
-                 if line.strip()]
-        records = []
-        for index, line in enumerate(lines):
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                if index == len(lines) - 1:
-                    break
-                raise StoreError(
-                    f"{path} line {index + 1} is not valid JSON; the "
-                    f"store is corrupt beyond a torn trailing write"
-                ) from None
-        return records
+        """Decode one append-only JSONL file.  A torn *final* line is
+        crash debris (its shard never completed and resume re-runs it)
+        and is dropped; corruption anywhere else raises StoreError."""
+        return rundir.read_jsonl(self.root / name, StoreError)
 
     def findings(self) -> list[dict]:
         """All persisted finding records (decoded JSONL lines)."""
-        return self._read_jsonl(self.FINDINGS_FILE)
+        return self._read_jsonl(rundir.FINDINGS_FILE)
 
     def corpus_entries(self) -> list[tuple[int, TestProgram, int]]:
         """All persisted corpus entries as (shard, program, new_items)."""
         return [
             (record["shard"], program_from_dict(record["program"]),
              record["new_items"])
-            for record in self._read_jsonl(self.CORPUS_FILE)
+            for record in self._read_jsonl(rundir.CORPUS_FILE)
         ]
 
     def coverage_curves(self) -> list[dict]:
-        return self._read_jsonl(self.COVERAGE_FILE)
+        return self._read_jsonl(rundir.COVERAGE_FILE)
 
     def prune_incomplete(self) -> None:
         """Drop JSONL records of shards that never completed.
@@ -575,8 +542,8 @@ class CampaignStore:
         findings/corpus/coverage files exactly one record set per shard.
         """
         completed = set(self.completed_shards())
-        for name in (self.FINDINGS_FILE, self.CORPUS_FILE,
-                     self.COVERAGE_FILE):
+        for name in (rundir.FINDINGS_FILE, rundir.CORPUS_FILE,
+                     rundir.COVERAGE_FILE):
             if not (self.root / name).exists():
                 continue
             kept = [r for r in self._read_jsonl(name)
@@ -584,7 +551,7 @@ class CampaignStore:
             # Rewrite unconditionally: _read_jsonl already dropped any
             # torn trailing fragment, and leaving one in place would let
             # the re-run shard's first append concatenate onto it.
-            _atomic_write(
+            rundir.write_atomic(
                 self.root / name,
                 "".join(json.dumps(r) + "\n" for r in kept),
             )
@@ -601,7 +568,7 @@ class CampaignStore:
         campaign finishes in degraded mode and a later ``resume``
         re-runs exactly these shards.
         """
-        with (self.root / self.QUARANTINE_FILE).open("a") as stream:
+        with (self.root / rundir.QUARANTINE_FILE).open("a") as stream:
             stream.write(json.dumps({
                 "type": "quarantine",
                 "shard": shard,
@@ -613,53 +580,28 @@ class CampaignStore:
 
     def quarantined(self) -> list[dict]:
         """All quarantine records, in shard order."""
-        records = self._read_jsonl(self.QUARANTINE_FILE)
+        records = self._read_jsonl(rundir.QUARANTINE_FILE)
         return sorted(records, key=lambda record: record["shard"])
 
     def reset_quarantine(self) -> None:
         """Drop the quarantine list (a resume re-runs those shards)."""
-        path = self.root / self.QUARANTINE_FILE
+        path = self.root / rundir.QUARANTINE_FILE
         if path.exists():
             path.unlink()
 
     # -- mid-shard checkpoints ----------------------------------------------
 
     def checkpoint_dir(self, create: bool = False) -> Path:
-        path = self.root / self.CHECKPOINT_DIR
+        """Where the shard workers keep their mid-run checkpoints (see
+        :mod:`repro.scenarios.checkpoint`)."""
+        path = self.root / rundir.CHECKPOINT_DIR
         if create:
             path.mkdir(parents=True, exist_ok=True)
         return path
 
-    def checkpoint_path(self, shard: int) -> Path:
-        return self.checkpoint_dir() / f"shard-{shard:04d}.json"
-
-    def write_checkpoint(self, shard: int, record: dict) -> None:
-        """Atomically persist one shard's mid-run checkpoint record."""
-        self.checkpoint_dir(create=True)
-        _atomic_write(self.checkpoint_path(shard),
-                      json.dumps(record) + "\n")
-
-    def read_checkpoint(self, shard: int) -> dict | None:
-        """The shard's last checkpoint, or None.
-
-        A missing, torn, or wrong-shard checkpoint degrades to None —
-        the shard restarts from iteration 0, which is always correct,
-        just slower.
-        """
-        path = self.checkpoint_path(shard)
-        if not path.exists():
-            return None
-        try:
-            record = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        if record.get("type") != "checkpoint" or record.get("shard") != shard:
-            return None
-        return record
-
     def clear_checkpoint(self, shard: int) -> None:
         """Drop a completed shard's checkpoint (its artifacts supersede it)."""
-        path = self.checkpoint_path(shard)
+        path = self.checkpoint_dir() / rundir.shard_file(shard)
         if path.exists():
             path.unlink()
 
@@ -668,11 +610,11 @@ class CampaignStore:
     def finalize(self, report_text: str, degraded: bool = False) -> None:
         """Write the merged report and mark the campaign complete
         (``degraded`` when quarantined shards are missing from it)."""
-        _atomic_write(self.root / self.REPORT_FILE, report_text)
+        rundir.write_atomic(self.root / rundir.REPORT_FILE, report_text)
         self.set_status(STATUS_DEGRADED if degraded else STATUS_COMPLETE)
 
     def report_text(self) -> str:
-        path = self.root / self.REPORT_FILE
+        path = self.root / rundir.REPORT_FILE
         if not path.exists():
             raise StoreError(f"{self.root} has no final report yet")
-        return path.read_text()
+        return path.read_text(encoding="utf-8")

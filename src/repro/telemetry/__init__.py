@@ -17,8 +17,8 @@ Layers:
 * :mod:`repro.telemetry.export` — JSONL event log, Prometheus text,
   the compact :class:`TelemetrySummary`, and the mini schema
   validator.
-* :mod:`repro.telemetry.heartbeat` — per-shard ``shard-<k>.jsonl``
-  writers (iteration-cadenced heartbeats + final span/metric dump).
+* :mod:`repro.telemetry.heartbeat` — per-shard log writers
+  (iteration-cadenced heartbeats + final span/metric dump).
 * :mod:`repro.telemetry.runstats` — loads a run directory's telemetry
   into the queryable layer behind ``python -m repro stats``.
 
@@ -40,12 +40,9 @@ from repro.telemetry.export import (
     validate_records,
     write_jsonl,
 )
-from repro.telemetry.heartbeat import HeartbeatWriter, rss_kb, shard_filename
+from repro.telemetry.heartbeat import HeartbeatWriter, rss_kb
 from repro.telemetry.metrics import HistogramStat, MetricSet
 from repro.telemetry.runstats import (
-    CAMPAIGN_FILE,
-    SUMMARY_FILE,
-    TELEMETRY_DIRNAME,
     RunTelemetry,
     load_run_telemetry,
     render_stats,
@@ -71,17 +68,14 @@ from repro.telemetry.spans import (
 )
 
 __all__ = [
-    "CAMPAIGN_FILE",
     "HeartbeatWriter",
     "HistogramStat",
     "MetricSet",
     "NullRecorder",
     "Recorder",
     "RunTelemetry",
-    "SUMMARY_FILE",
     "SpanRecord",
     "Stopwatch",
-    "TELEMETRY_DIRNAME",
     "TelemetryError",
     "TelemetrySummary",
     "complete_record",
@@ -103,7 +97,6 @@ __all__ = [
     "render_prometheus",
     "render_stats",
     "rss_kb",
-    "shard_filename",
     "span",
     "stats_to_dict",
     "summarize",

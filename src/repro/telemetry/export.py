@@ -24,12 +24,12 @@ is pinned without a third-party jsonschema dependency.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.telemetry.metrics import MetricSet
 from repro.telemetry.spans import SpanRecord
+from repro.utils import rundir
 from repro.utils.text import ascii_table
 
 
@@ -113,51 +113,19 @@ def dump_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def append_jsonl(path: Path | str, records: list[dict]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(dump_line(record) + "\n")
-
-
 def write_jsonl(path: Path | str, records: list[dict]) -> None:
-    """Atomically replace ``path`` with ``records`` (tmp + rename)."""
+    """Atomically replace ``path`` with ``records``, one line each."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(dump_line(record) + "\n")
-    os.replace(tmp, path)
+    rundir.write_atomic(
+        path, "".join(dump_line(record) + "\n" for record in records))
 
 
 def read_jsonl(path: Path | str) -> list[dict]:
-    """Read a telemetry JSONL file, tolerating a torn trailing line.
-
-    A worker killed mid-append leaves a partial final line; that is
-    expected crash debris and is dropped.  A malformed line *before*
-    the end means the file is corrupt, not torn, and raises.
-    """
-    path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except FileNotFoundError:
-        return []
-    records: list[dict] = []
-    for index, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            if index == len(lines) - 1:
-                break  # torn trailing write from a killed worker
-            raise TelemetryError(
-                f"corrupt telemetry log {path}: bad JSON on line {index + 1}"
-            ) from None
-    return records
+    """Read a telemetry JSONL file.  A worker killed mid-append leaves a
+    torn final line, which is dropped; a malformed line before the end
+    means the file is corrupt and raises :class:`TelemetryError`."""
+    return rundir.read_jsonl(path, TelemetryError)
 
 
 # -- Prometheus text exposition ---------------------------------------------

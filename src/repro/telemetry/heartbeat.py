@@ -31,6 +31,7 @@ from pathlib import Path
 from repro.telemetry import export
 from repro.telemetry.metrics import MetricSet
 from repro.telemetry.spans import SpanRecord
+from repro.utils import rundir
 
 #: Fuzz iterations between heartbeat lines.
 HEARTBEAT_INTERVAL = 10
@@ -44,10 +45,6 @@ def rss_kb() -> int:
     return int(usage)
 
 
-def shard_filename(shard: int) -> str:
-    return f"shard-{shard:04d}.jsonl"
-
-
 class HeartbeatWriter:
     """Streams one shard's telemetry log, heartbeat lines included."""
 
@@ -56,7 +53,7 @@ class HeartbeatWriter:
                  clock=time.time) -> None:
         self.shard = shard
         self.interval = max(1, interval)
-        self.path = Path(directory) / shard_filename(shard)
+        self.path = Path(directory) / rundir.shard_file(shard, ".jsonl")
         self._clock = clock
         self.last_iteration = -1
         self.last_coverage = 0

@@ -1,8 +1,8 @@
 """The queryable run-observability layer behind ``repro stats``.
 
-Loads a run directory's ``telemetry/`` artifacts — the parent
-``campaign.jsonl``, every ``shard-*.jsonl`` (torn trailing lines
-tolerated), and the atomic ``summary.json`` — into a
+Loads a run directory's telemetry artifacts — the parent's campaign
+log, every shard log (torn trailing lines tolerated), and the atomic
+summary; :mod:`repro.utils.rundir` names them — into a
 :class:`RunTelemetry` that answers the operator questions:
 
 * where did wall-clock go (phase breakdown, aggregated by span name,
@@ -21,7 +21,6 @@ runs of the same scenario produce the same merged heartbeat rows
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,16 +28,8 @@ from repro.telemetry import export
 from repro.telemetry.export import TelemetryError, TelemetrySummary
 from repro.telemetry.metrics import MetricSet
 from repro.telemetry.spans import Recorder, SpanRecord
+from repro.utils import rundir
 from repro.utils.text import ascii_table
-
-#: Telemetry artifact names inside a run directory.
-TELEMETRY_DIRNAME = "telemetry"
-CAMPAIGN_FILE = "campaign.jsonl"
-SUMMARY_FILE = "summary.json"
-#: Resilience artifacts (written by the campaign store / shard workers,
-#: validated alongside the telemetry logs).
-QUARANTINE_FILE = "quarantine.jsonl"
-CHECKPOINT_DIRNAME = "checkpoints"
 
 #: The parent campaign's root span name.
 ROOT_SPAN = "campaign"
@@ -98,8 +89,8 @@ class RunTelemetry:
     campaign_spans: list[SpanRecord] = field(default_factory=list)
     campaign_metrics: MetricSet = field(default_factory=MetricSet)
     shards: dict[int, ShardTelemetry] = field(default_factory=dict)
-    #: Quarantine records (``quarantine.jsonl``) — shards that exhausted
-    #: their retries; the run completed degraded without them.
+    #: Quarantine records — shards that exhausted their retries; the
+    #: run completed degraded without them.
     quarantined: list[dict] = field(default_factory=list)
 
     def all_spans(self) -> list[SpanRecord]:
@@ -149,11 +140,9 @@ def _parse_shard_file(path: Path) -> ShardTelemetry:
     shard.spans = export.records_to_spans(records)
     shard.metrics = export.records_to_metrics(records)
     if shard_id is None:
-        # fall back to the filename (shard-NNNN.jsonl)
-        stem = path.stem
         try:
-            shard_id = int(stem.split("-", 1)[1])
-        except (IndexError, ValueError):
+            shard_id = rundir.shard_index(path)  # fall back to the name
+        except ValueError:
             raise TelemetryError(
                 f"cannot determine shard id of telemetry log {path}")
     shard.shard = int(shard_id)
@@ -165,29 +154,25 @@ def _parse_shard_file(path: Path) -> ShardTelemetry:
 def load_run_telemetry(run_dir: Path | str) -> RunTelemetry:
     """Load ``<run_dir>/telemetry`` (raises TelemetryError if absent)."""
     root = Path(run_dir)
-    tdir = root / TELEMETRY_DIRNAME
+    tdir = root / rundir.TELEMETRY_DIR
     if not tdir.is_dir():
         raise TelemetryError(
             f"no telemetry artifacts under {root} — re-run the scenario "
             f"with --telemetry to record them")
     run = RunTelemetry(root=root)
-    campaign = tdir / CAMPAIGN_FILE
-    if campaign.exists():
-        records = export.read_jsonl(campaign)
-        for record in records:
-            if record.get("type") == "meta":
-                run.campaign_meta = record
-                break
-        run.campaign_spans = export.records_to_spans(records)
-        run.campaign_metrics = export.records_to_metrics(records)
-    for path in sorted(tdir.glob("shard-*.jsonl")):
+    records = export.read_jsonl(tdir / rundir.CAMPAIGN_LOG)
+    for record in records:
+        if record.get("type") == "meta":
+            run.campaign_meta = record
+            break
+    run.campaign_spans = export.records_to_spans(records)
+    run.campaign_metrics = export.records_to_metrics(records)
+    for path in rundir.shard_files(tdir, ".jsonl"):
         shard = _parse_shard_file(path)
         run.shards[shard.shard] = shard
-    quarantine = root / QUARANTINE_FILE
-    if quarantine.exists():
-        run.quarantined = sorted(
-            export.read_jsonl(quarantine),
-            key=lambda record: record.get("shard", -1))
+    run.quarantined = sorted(
+        export.read_jsonl(root / rundir.QUARANTINE_FILE),
+        key=lambda record: record.get("shard", -1))
     if not run.campaign_spans and not run.shards:
         raise TelemetryError(f"telemetry directory {tdir} holds no records")
     return run
@@ -371,11 +356,11 @@ def render_stats(run: RunTelemetry, top: int = 10) -> str:
 
 def validate_run(run_dir: Path | str, schema_path: Path | str) -> list[str]:
     """Validate a run's telemetry and resilience records against the
-    checked-in schema: every ``telemetry/*.jsonl`` file, the run's
-    ``quarantine.jsonl``, and each ``checkpoints/shard-*.json``."""
+    checked-in schema: every telemetry log, the run's quarantine list,
+    each shard checkpoint, and the summary's JSON."""
     schema = export.load_schema(schema_path)
     root = Path(run_dir)
-    tdir = root / TELEMETRY_DIRNAME
+    tdir = root / rundir.TELEMETRY_DIR
     if not tdir.is_dir():
         raise TelemetryError(f"no telemetry artifacts under {run_dir}")
     errors: list[str] = []
@@ -383,26 +368,22 @@ def validate_run(run_dir: Path | str, schema_path: Path | str) -> list[str]:
         records = export.read_jsonl(path)
         errors.extend(export.validate_records(records, schema,
                                               source=path.name))
-    quarantine = root / QUARANTINE_FILE
-    if quarantine.exists():
-        errors.extend(export.validate_records(
-            export.read_jsonl(quarantine), schema,
-            source=QUARANTINE_FILE))
-    checkpoint_dir = root / CHECKPOINT_DIRNAME
-    if checkpoint_dir.is_dir():
-        for path in sorted(checkpoint_dir.glob("shard-*.json")):
-            source = f"{CHECKPOINT_DIRNAME}/{path.name}"
-            try:
-                record = json.loads(path.read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
-                errors.append(f"{source}: invalid JSON ({exc})")
-                continue
-            errors.extend(export.validate_records([record], schema,
-                                                  source=source))
-    summary = tdir / SUMMARY_FILE
+    errors.extend(export.validate_records(
+        export.read_jsonl(root / rundir.QUARANTINE_FILE), schema,
+        source=rundir.QUARANTINE_FILE))
+    for path in rundir.shard_files(root / rundir.CHECKPOINT_DIR):
+        source = f"{rundir.CHECKPOINT_DIR}/{path.name}"
+        try:
+            record = rundir.read_json_object(path, TelemetryError)
+        except TelemetryError as exc:
+            errors.append(str(exc))
+            continue
+        errors.extend(export.validate_records([record], schema,
+                                              source=source))
+    summary = tdir / rundir.SUMMARY_FILE
     if summary.exists():
         try:
-            json.loads(summary.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            errors.append(f"{SUMMARY_FILE}: invalid JSON ({exc})")
+            rundir.read_json_object(summary, TelemetryError)
+        except TelemetryError as exc:
+            errors.append(str(exc))
     return errors

@@ -44,12 +44,12 @@ class TestSpecDoctor:
 
     def test_arch_divergent_inputs_discarded(self, core):
         from repro.fuzz.input import TestProgram
-        from repro.fuzz.seeds import _context
+        from repro.fuzz.seeds import seed_context
         from repro.isa.assembler import assemble
 
         # Architecturally reads the secret: runs diverge, input discarded.
         words = assemble("ld t1, 0(s5)\nsd t1, 0(s0)\necall\n")
-        program = _context(TestProgram(words=words))
+        program = seed_context(TestProgram(words=words))
         tool = SpecDoctor(core, seed=5, seeds=[program])
         tool.run(iterations=1)
         assert tool.stats.discarded_arch_divergent == 1
@@ -96,7 +96,7 @@ class TestTheHuzz:
         """When a *committed* instruction consumes a leaked register the
         golden trace diverges — TheHuzz's only route to this bug."""
         from repro.fuzz.input import TestProgram
-        from repro.fuzz.seeds import _context
+        from repro.fuzz.seeds import seed_context
         from repro.isa.assembler import assemble
 
         words = assemble("""
@@ -111,7 +111,8 @@ class TestTheHuzz:
             sd   t4, 0(s0)
             ecall
         """)
-        tool = TheHuzz(core, seed=6, seeds=[_context(TestProgram(words=words))])
+        tool = TheHuzz(core, seed=6,
+                       seeds=[seed_context(TestProgram(words=words))])
         findings = tool.run(iterations=1)
         assert findings  # divergence from golden model
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.boom import BoomConfig, BoomCore, VulnConfig
 from repro.fuzz.input import TestProgram
-from repro.fuzz.seeds import _context, special_seeds
+from repro.fuzz.seeds import seed_context, special_seeds
 from repro.fuzz.triggers import mwait_trigger, zenbleed_trigger
 from repro.isa.assembler import assemble
 
@@ -22,7 +22,7 @@ def vuln_core():
 
 def run_asm(core, source, **kwargs):
     words = assemble(source, base_address=core.config.base_address)
-    return core.run(_context(TestProgram(words=words, **kwargs)))
+    return core.run(seed_context(TestProgram(words=words, **kwargs)))
 
 
 class TestBasicExecution:

@@ -152,7 +152,7 @@ class TestVulnerabilityDetector:
     def test_committed_changes_not_flagged(self, core, offline):
         """A mispredicted window full of legitimate commits is clean."""
         from repro.fuzz.input import TestProgram
-        from repro.fuzz.seeds import _context
+        from repro.fuzz.seeds import seed_context
         from repro.isa.assembler import assemble
 
         detector = VulnerabilityDetector(offline.pdlc, monitor_dcache=False)
@@ -166,7 +166,7 @@ class TestVulnerabilityDetector:
             sd   t2, 8(s0)
             ecall
         """)
-        result = core.run(_context(TestProgram(words=words)))
+        result = core.run(seed_context(TestProgram(words=words)))
         leaks = LeakageDetector().potential_leaks(result)
         reports = detector.detect(result, leaks)
         # Without zenbleed_en set and without dcache monitoring there is

@@ -15,7 +15,7 @@ from repro.detection.snapshot_diff import window_diff
 from repro.detection.vulnerability import VulnerabilityDetector
 from repro.detection.windows import DetectedWindow, RobSignalMap, extract_windows
 from repro.fuzz.input import TestProgram
-from repro.fuzz.seeds import _context
+from repro.fuzz.seeds import seed_context
 from repro.fuzz.triggers import zenbleed_trigger
 from repro.isa.assembler import assemble
 from repro.rtl.trace import SignalTrace
@@ -111,7 +111,7 @@ class TestDetectorEdgeCases:
             sd   t2, 8(s0)
             ecall
         """)
-        program = _context(TestProgram(words=words))
+        program = seed_context(TestProgram(words=words))
         result = core.run(program)
         leaks = LeakageDetector().potential_leaks(result)
         strict = VulnerabilityDetector(offline.pdlc, commit_filter=True)

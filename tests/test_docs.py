@@ -89,3 +89,19 @@ def test_paper_mapping_table_is_the_experiment_registry():
     assert f"\n{render_markdown()}\n\n" in mapping, (
         "docs/paper_mapping.md's experiment table is stale: paste the "
         "output of repro.harness.experiments.render_markdown()")
+
+
+def test_run_directory_tree_names_every_layout_entry():
+    """The tree in docs/scenarios.md shows every entry that
+    ``repro.utils.rundir`` defines, shard files included."""
+    from repro.utils import rundir
+
+    text = (REPO_ROOT / "docs" / "scenarios.md").read_text(encoding="utf-8")
+    tree = text.split("## The run directory", 1)[1].split("```")[1]
+    entries = [value for name, value in vars(rundir).items()
+               if name.isupper() and isinstance(value, str)]
+    entries += [rundir.shard_file(0), rundir.shard_file(0, ".jsonl")]
+    assert len(entries) == 14
+    missing = [entry for entry in entries
+               if not re.search(rf"[ /]{re.escape(entry)}/?(\s|$)", tree)]
+    assert missing == []

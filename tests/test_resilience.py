@@ -34,6 +34,7 @@ from repro.harness.parallel import (
     imap_shard_units,
     shutdown_pool,
 )
+from repro.utils import rundir
 
 
 # -- module-level workers (fleet workers must be picklable) -----------------
@@ -338,7 +339,7 @@ class TestCheckpoints:
             (clean_dir / "report.txt").read_text()
         # Success clears the shard's checkpoint.
         store = CampaignStore.open(chaos_dir)
-        assert not store.checkpoint_path(0).exists()
+        assert not (store.checkpoint_dir() / rundir.shard_file(0)).exists()
 
 
 # -- retry-with-quarantine and degraded campaigns --------------------------
@@ -497,14 +498,60 @@ class TestHeartbeatDegradesOnWriteFailure:
         assert writer.dropped == 0
 
 
+def _drop_fuzz(text: str) -> str:
+    record = json.loads(text)
+    del record["fuzz"]
+    return json.dumps(record)
+
+
+_SHARD_0 = f"{rundir.SHARD_DIR}/{rundir.shard_file(0)}"
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    from repro.scenarios.runner import run_scenario
+
+    run_dir = tmp_path_factory.mktemp("validation") / "run"
+    run_scenario(_quick_spec(iterations=2), run_dir=run_dir,
+                 minimize=False)
+    return run_dir
+
+
 class TestStoreValidation:
+    @pytest.mark.parametrize("command, target, corrupt", [
+        ("resume", rundir.META_FILE, lambda text: "[]"),
+        ("replay", rundir.META_FILE, lambda text: "[]"),
+        ("resume", _SHARD_0, lambda text: text[:len(text) // 2]),
+        ("resume", _SHARD_0, _drop_fuzz),
+    ], ids=["resume-meta-list", "replay-meta-list", "resume-torn-shard",
+            "resume-shard-without-fuzz"])
+    def test_corrupt_file_raises_store_error_naming_it(
+            self, finished_run, tmp_path, capsys, command, target, corrupt):
+        import shutil
+
+        from repro.__main__ import main
+        from repro.scenarios.runner import replay_findings, resume_scenario
+        from repro.scenarios.store import StoreError
+
+        run_dir = tmp_path / "run"
+        shutil.copytree(finished_run, run_dir)
+        path = run_dir / target
+        path.write_text(corrupt(path.read_text()))
+
+        entry = resume_scenario if command == "resume" else replay_findings
+        with pytest.raises(StoreError) as excinfo:
+            entry(run_dir)
+        assert Path(target).name in str(excinfo.value)
+        assert main([command, str(run_dir)]) == 2
+        assert Path(target).name in capsys.readouterr().err
+
     def test_resume_names_offending_key_and_file(self, tmp_path):
         from repro.scenarios.runner import resume_scenario
         from repro.scenarios.store import CampaignStore, StoreError
 
         run_dir = tmp_path / "run"
         CampaignStore.create(run_dir, _quick_spec(iterations=2))
-        scenario_path = run_dir / CampaignStore.SCENARIO_FILE
+        scenario_path = run_dir / rundir.SCENARIO_FILE
         data = json.loads(scenario_path.read_text())
         target = data.get("scenario", data)  # to_json wraps the spec
         target["on_shard_failure"] = "sometimes"

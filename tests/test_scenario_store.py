@@ -24,6 +24,7 @@ from repro.scenarios.store import (
     shard_report_from_dict,
     shard_report_to_dict,
 )
+from repro.utils import rundir
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +143,7 @@ class TestResumeDeterminism:
         # Simulate a crash that appended shard-1 JSONL lines without the
         # shard file: those records must not survive the resume.
         store = CampaignStore.open(root)
-        with (root / CampaignStore.COVERAGE_FILE).open("a") as stream:
+        with (root / rundir.COVERAGE_FILE).open("a") as stream:
             stream.write(json.dumps(
                 {"shard": 1, "seed": 0, "curve": [999]}
             ) + "\n")
@@ -165,7 +166,7 @@ class TestResumeDeterminism:
                          on_shard=interrupt_after_first)
         # A kill -9 mid-append leaves a truncated final line; resume must
         # treat it as debris of the never-completed shard, not crash.
-        with (root / CampaignStore.FINDINGS_FILE).open("a") as stream:
+        with (root / rundir.FINDINGS_FILE).open("a") as stream:
             stream.write('{"shard": 1, "kind": "trunc')
         resume_scenario(root, minimize=False)
         assert CampaignStore.open(root).status == STATUS_COMPLETE
@@ -184,12 +185,12 @@ class TestResumeDeterminism:
                          on_shard=interrupt_after_first)
         # Torn final line *without* a trailing newline: resume must not
         # let the re-run shard's first append concatenate onto it.
-        with (root / CampaignStore.FINDINGS_FILE).open("a") as stream:
+        with (root / rundir.FINDINGS_FILE).open("a") as stream:
             stream.write('{"shard": 1, "kind": "trunc')
         resume_scenario(root, minimize=False)
         # Every line must be intact JSON — a fragment left in place would
         # have merged with the resumed shard's first appended record.
-        lines = (root / CampaignStore.FINDINGS_FILE).read_text().splitlines()
+        lines = (root / rundir.FINDINGS_FILE).read_text().splitlines()
         records = [json.loads(line) for line in lines if line.strip()]
         assert all("kind" in r and "program" in r for r in records)
         assert CampaignStore.open(root).findings() == records
@@ -198,7 +199,7 @@ class TestResumeDeterminism:
         root = tmp_path / "half-created"
         run_scenario(ScenarioSpec(name="half", vulns=(), iterations=2),
                      run_dir=root, minimize=False)
-        (root / CampaignStore.META_FILE).unlink()
+        (root / rundir.META_FILE).unlink()
         with pytest.raises(StoreError, match="interrupted during creation"):
             CampaignStore.open(root)
 
@@ -206,7 +207,7 @@ class TestResumeDeterminism:
                                                     tmp_path):
         root = tmp_path / "corrupt"
         run_scenario(sweep_spec, run_dir=root, minimize=False)
-        path = root / CampaignStore.COVERAGE_FILE
+        path = root / rundir.COVERAGE_FILE
         lines = path.read_text().splitlines()
         lines[0] = "not json"
         path.write_text("\n".join(lines) + "\n")

@@ -15,7 +15,6 @@ import pytest
 from repro import telemetry
 from repro.scenarios import get_scenario, run_scenario
 from repro.telemetry import (
-    CAMPAIGN_FILE,
     HeartbeatWriter,
     MetricSet,
     Recorder,
@@ -31,12 +30,12 @@ from repro.telemetry import (
     read_jsonl,
     records_to_metrics,
     render_prometheus,
-    shard_filename,
     summarize,
     validate_records,
     write_jsonl,
 )
 from repro.telemetry.runstats import shard_rows
+from repro.utils.rundir import CAMPAIGN_LOG, shard_file
 
 
 @pytest.fixture
@@ -251,7 +250,7 @@ class TestHeartbeat:
             metrics = MetricSet()
             metrics.count("fuzz.iterations", 6)
             writer.finalize(spans=[], metrics=metrics, findings=1)
-        records = read_jsonl(tmp_path / shard_filename(3))
+        records = read_jsonl(tmp_path / shard_file(3, ".jsonl"))
         beats = [r for r in records if r["type"] == "heartbeat"]
         # interval=2 over 6 iterations: indices 0, 2, 4, plus the final
         # beat written by finalize.
@@ -259,10 +258,10 @@ class TestHeartbeat:
         assert records[-1] == complete_record(3, 6, 1)
 
     def test_truncates_predecessor_debris(self, tmp_path):
-        (tmp_path / shard_filename(0)).write_text('{"type": "meta"')
+        (tmp_path / shard_file(0, ".jsonl")).write_text('{"type": "meta"')
         with HeartbeatWriter(tmp_path, shard=0) as writer:
             writer.finalize(spans=[], metrics=MetricSet(), findings=0)
-        records = read_jsonl(tmp_path / shard_filename(0))
+        records = read_jsonl(tmp_path / shard_file(0, ".jsonl"))
         assert records[-1]["type"] == "complete"
 
 
@@ -271,8 +270,8 @@ class TestRunTelemetry:
         root, outcome = telemetry_run
         tdir = root / "telemetry"
         names = sorted(p.name for p in tdir.iterdir())
-        assert names == [CAMPAIGN_FILE, shard_filename(0),
-                         shard_filename(1), "summary.json"]
+        assert names == [CAMPAIGN_LOG, shard_file(0, ".jsonl"),
+                         shard_file(1, ".jsonl"), "summary.json"]
         run = load_run_telemetry(root)
         assert sorted(run.shards) == [0, 1]
         assert all(shard.complete for shard in run.shards.values())
@@ -307,7 +306,7 @@ class TestRunTelemetry:
         shutil.copytree(root, crashed)
         # Simulate shard 1's worker dying mid-write: its log ends in a
         # torn heartbeat and never reached the complete record.
-        shard_log = crashed / "telemetry" / shard_filename(1)
+        shard_log = crashed / "telemetry" / shard_file(1, ".jsonl")
         lines = shard_log.read_text().splitlines()
         cut = next(i for i, line in enumerate(lines[1:], start=1)
                    if json.loads(line)["type"] == "heartbeat") + 1

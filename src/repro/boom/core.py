@@ -21,6 +21,7 @@ coverage points (the "traditional code coverage" baseline feedback).
 from __future__ import annotations
 
 from collections import OrderedDict, defaultdict, deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -243,6 +244,31 @@ class BoomCore:
         return all_clauses()
 
 
+def _mwait_monitor(config: BoomConfig, csr: CsrFile,
+                   cov: dict[str, int]) -> Callable[[int], None] | None:
+    """The data cache's line-change hook for one run, or None when the
+    (M)WAIT vulnerability is off: a change to the monitored line zeroes
+    the timer CSR.
+
+    A closure over the units it touches, never a bound method of the
+    engine: the engine owns the cache, so a hook holding the engine
+    would make every engine a reference cycle that only the cyclic
+    garbage collector frees (``tests/test_cyclic_garbage.py``).
+    """
+    if not config.vulns.mwait:
+        return None
+    line = config.line_bytes
+
+    def on_line_change(line_base: int) -> None:
+        if not csr.mwait_monitor_active():
+            return
+        if line_base <= csr.monitor_address() < line_base + line:
+            if csr.hardware_clear_timer():
+                cov["mwait.timer_cleared"] += 1
+
+    return on_line_change
+
+
 class _Engine:
     """The reusable simulation engine (one per :class:`BoomCore`).
 
@@ -271,10 +297,7 @@ class _Engine:
         self.csr = CsrFile(tracer)
         self.rename = RenameTable(tracer)
         self.rob = Rob(config, tracer)
-        self.dcache = DCache(
-            config, tracer, SparseMemory(),
-            on_line_change=self._on_cache_line_change,
-        )
+        self.dcache = DCache(config, tracer, SparseMemory())
 
         self._ix_arch = [tracer.idx(nl.sig_arch_x(i)) for i in range(32)]
         self._ix_arch_pc = tracer.idx(nl.sig_arch_pc())
@@ -319,9 +342,10 @@ class _Engine:
         self.csr.reset(self.tracer)
         self.rename.reset(self.tracer)
         self.rob.reset(self.tracer)
+        self.cov: dict[str, int] = defaultdict(int)
         self.dcache.reset(
             self.tracer, self.memory,
-            on_line_change=self._on_cache_line_change,
+            on_line_change=_mwait_monitor(config, self.csr, self.cov),
         )
 
         self.arch_regs = list(program.reg_init)
@@ -337,7 +361,6 @@ class _Engine:
         self.commits: list[Commit] = []
         self.windows: dict[int, dict] = {}
         self.closed_windows: list[SpecWindow] = []
-        self.cov: dict[str, int] = defaultdict(int)
         self.halted = False
         self.halt_reason = "max_cycles"
         self.last_commit_cycle = 0
@@ -349,20 +372,6 @@ class _Engine:
         self._pending_ssb: list[RobEntry] = []
         self._max_cycles = min(program.max_cycles, config.max_cycles)
         self._running = True
-
-    # -- hooks -------------------------------------------------------------
-
-    def _on_cache_line_change(self, line_base: int) -> None:
-        """(M)WAIT emulation: monitored-line changes zero the timer CSR."""
-        if not self.config.vulns.mwait:
-            return
-        if not self.csr.mwait_monitor_active():
-            return
-        monitored = self.csr.monitor_address()
-        line = self.config.line_bytes
-        if line_base <= monitored < line_base + line:
-            if self.csr.hardware_clear_timer():
-                self._bump("mwait.timer_cleared")
 
     def _bump(self, point: str, amount: int = 1) -> None:
         self.cov[point] += amount  # self.cov is a defaultdict(int)

@@ -24,7 +24,9 @@ the campaign report surfaces.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro import faultinject, telemetry
 
@@ -88,6 +90,15 @@ class OnlineStats:
         return merged
 
 
+def _statics(build: Callable[[], Any]) -> Callable[[], Any]:
+    """``build`` inside the ``online/statics`` span: recorded only when
+    :meth:`OfflineArtifacts.derived` misses and actually builds."""
+    def traced():
+        with telemetry.span("online/statics"):
+            return build()
+    return traced
+
+
 class OnlinePhase:
     """The evaluation pipeline handed to the fuzzing loop."""
 
@@ -115,19 +126,20 @@ class OnlinePhase:
         # immutable, so every phase on these artifacts shares them.
         self.lp = offline.derived(
             ("lp", tuple(signal_names), "path", include),
-            lambda: LpCoverage(offline.pdlc, signal_names, include=include))
+            _statics(lambda: LpCoverage(offline.pdlc, signal_names,
+                                        include=include)))
         self.code = CodeCoverage()
         self.leakage = LeakageDetector(signal_map.windows)
         self.vulnerability = offline.derived(
             ("vulnerability", spec.monitor_dcache, core.config.line_bytes,
              core.config.dcache_sets, signal_map),
-            lambda: VulnerabilityDetector(
+            _statics(lambda: VulnerabilityDetector(
                 offline.pdlc,
                 monitor_dcache=spec.monitor_dcache,
                 line_bytes=core.config.line_bytes,
                 dcache_sets=core.config.dcache_sets,
                 signal_map=signal_map,
-            ))
+            )))
         self.contract: ContractDetector | None = None
         if spec.detector in ("contract", "both"):
             contract = spec.effective_contract()

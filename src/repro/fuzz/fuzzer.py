@@ -127,10 +127,14 @@ class Fuzzer:
         with the collector's default thresholds that forces dozens of
         generation-0 sweeps per iteration.  The pipeline's per-run
         artifacts are reference-cycle-free by design (the columnar trace
-        and its window views hold no back-references), so everything a
-        finished iteration drops is freed immediately by reference
-        counting; the deferred full collection on exit only mops up
-        incidental cycles (e.g. exception tracebacks).
+        and its window views hold no back-references, and neither the
+        BOOM engine's cache hook nor the mutation engine's operator
+        table points back at its owner), so everything a finished
+        iteration drops is freed immediately by reference counting;
+        ``tests/test_cyclic_garbage.py`` checks that campaigns leave no
+        cycle of this package's objects behind.  The deferred full
+        collection on exit only mops up incidental cycles (e.g.
+        exception tracebacks).
         """
         import gc
 

@@ -108,32 +108,11 @@ class MutationEngine:
             # arbitrary bit chaos leaves the category scope almost
             # every time — and scrub stragglers after each mutate().
             self._allowed = allowed_classes(self.categories)
-            self._operations = (
-                self._word_valid_instruction,
-                self._insert_valid_instruction,
-                self._swap_words,
-                self._delete_word,
-                self._clone_word,
-                self._tweak_immediate,
-                self._mutate_register_init,
-                self._mutate_data_seed,
-            )
+            self._operations = self._SCOPED_OPERATIONS
             self._weights = (4, 4, 1, 1, 1, 3, 2, 1)
         else:
             self._allowed = None
-            self._operations = (
-                self._bit_flip,
-                self._byte_flip,
-                self._word_random,
-                self._word_valid_instruction,
-                self._insert_valid_instruction,
-                self._swap_words,
-                self._delete_word,
-                self._clone_word,
-                self._tweak_immediate,
-                self._mutate_register_init,
-                self._mutate_data_seed,
-            )
+            self._operations = self._ALL_OPERATIONS
             #: Instruction-aware ops get extra weight — they are what
             #: moves a hardware fuzzer through architectural state space.
             self._weights = (2, 2, 1, 4, 4, 1, 1, 1, 3, 2, 1)
@@ -152,7 +131,7 @@ class MutationEngine:
                 self._operations, weights=self._weights
             )[0]
             applied.append(operation.__name__.lstrip("_"))
-            operation(mutant)
+            operation(self, mutant)
         self.last_operations = tuple(applied)
         if not mutant.words:
             mutant.words = [random_instruction(self.rng, self.categories)]
@@ -236,3 +215,22 @@ class MutationEngine:
 
     def _mutate_data_seed(self, program: TestProgram) -> None:
         program.data_seed = self.rng.randbits(32)
+
+    #: The operator tables hold plain functions, called with the engine:
+    #: a table of the engine's own bound methods would make every engine
+    #: a reference cycle (``tests/test_cyclic_garbage.py``).
+    _SCOPED_OPERATIONS = (
+        _word_valid_instruction,
+        _insert_valid_instruction,
+        _swap_words,
+        _delete_word,
+        _clone_word,
+        _tweak_immediate,
+        _mutate_register_init,
+        _mutate_data_seed,
+    )
+    _ALL_OPERATIONS = (
+        _bit_flip,
+        _byte_flip,
+        _word_random,
+    ) + _SCOPED_OPERATIONS

@@ -98,6 +98,12 @@ class Ifg:
     def predecessors(self, name: str) -> list[str]:
         return self._pred[name]
 
+    def adjacency(self, forward: bool = True) -> dict[str, list[str]]:
+        """Every vertex's successors (``forward``) or predecessors — the
+        bulk form of the two lookups above for graph searches.  Read
+        only: the lists are the graph's own."""
+        return self._succ if forward else self._pred
+
     def architectural_registers(self) -> list[str]:
         """Vertices labelled architectural."""
         return [name for name, info in self.info.items() if info.is_arch]

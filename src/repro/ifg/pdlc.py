@@ -8,7 +8,7 @@ reachable *(microarchitectural register, architectural register)* pair,
 carrying a witness path for root-cause reporting and for the Leakage
 Path coverage metric's signal sets.
 
-Two algorithms are provided:
+Two search directions are provided:
 
 * :func:`extract_pdlc_forward` — the naive direction: a DFS from *every*
   microarchitectural register.  With M sources this is O(M·(V+E)),
@@ -16,23 +16,24 @@ Two algorithms are provided:
 * :func:`extract_pdlc_reverse` — the paper's skew-aware join: reverse
   every edge and search *from the architectural registers*, of which
   there are only A (a small ISA-fixed constant).  One O(V+E) traversal
-  per architectural register — the "O(V)" behaviour — and with parent
-  pointers each reached microarchitectural register yields its witness
-  path for free.
+  per architectural register — the "O(V)" behaviour.
 
-Both produce the same (source, destination) pair set; a property test
-asserts the equivalence, and benchmark E2 measures the asymmetry.
+Both directions share one DFS kernel (:func:`_reach`), which builds
+every reached vertex's witness path as it goes, so benchmark E2
+compares search directions, not two implementations.  Both produce the
+same (source, destination) pair set; a property test asserts the
+equivalence, and ``tests/pdlc_reference.py`` keeps the parent-pointer
+extractor this kernel replaced as the oracle of its exact output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.ifg.graph import Ifg
 
 
-@dataclass(frozen=True)
-class PdlcItem:
+class PdlcItem(NamedTuple):
     """One potential direct leakage channel.
 
     ``path`` is a witness chain of signal names from ``source``
@@ -60,69 +61,72 @@ def extract_pdlc_forward(ifg: Ifg) -> list[PdlcItem]:
     path to every architectural register it reaches.
     """
     arch = set(ifg.architectural_registers())
-    pairs: list[tuple[str, str, tuple[str, ...]]] = []
+    successors = ifg.adjacency(forward=True)
+    by_source = {}
     for source in ifg.microarchitectural_registers():
-        parents = _dfs_parents(ifg, source, forward=True)
-        for dest in sorted(arch & parents.keys()):
-            if dest == source:
-                continue
-            pairs.append((source, dest, _walk(parents, source, dest)))
-    # Same deterministic order as the reverse algorithm.
-    pairs.sort(key=lambda item: (item[0], item[1]))
-    return [
-        PdlcItem(index, source, dest, path)
-        for index, (source, dest, path) in enumerate(pairs)
-    ]
+        paths = _reach(successors, source)
+        by_source[source] = [(dest, paths[dest])
+                             for dest in sorted(arch.intersection(paths))]
+    return _numbered(by_source)
 
 
 def extract_pdlc_reverse(ifg: Ifg) -> list[PdlcItem]:
     """Skew-aware reverse extraction: search from architectural registers.
 
     Reverses the edge direction and runs one traversal per architectural
-    register; every reached microarchitectural register is a PDLC source
-    whose witness path is read off the parent pointers (already oriented
-    source → destination after reversal).
+    register; every reached microarchitectural register is a PDLC
+    source, whose witness path is the search path read backwards
+    (source → destination).
     """
     micro = set(ifg.microarchitectural_registers())
-    pairs: list[tuple[str, str, tuple[str, ...]]] = []
-    for dest in ifg.architectural_registers():
-        parents = _dfs_parents(ifg, dest, forward=False)
-        for source in sorted(micro & parents.keys()):
-            if source == dest:
-                continue
-            reversed_path = _walk(parents, dest, source)
-            pairs.append((source, dest, tuple(reversed(reversed_path))))
-    # Deterministic order: by source then destination (matches forward).
-    pairs.sort(key=lambda item: (item[0], item[1]))
-    return [
-        PdlcItem(index, source, dest, path)
-        for index, (source, dest, path) in enumerate(pairs)
-    ]
+    predecessors = ifg.adjacency(forward=False)
+    by_source: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
+    # Destinations in sorted order keep every source's list sorted.
+    for dest in sorted(ifg.architectural_registers()):
+        paths = _reach(predecessors, dest)
+        for source in micro.intersection(paths):
+            by_source.setdefault(source, []).append(
+                (dest, paths[source][::-1]))
+    return _numbered(by_source)
 
 
-def _dfs_parents(ifg: Ifg, start: str, forward: bool) -> dict[str, str | None]:
-    """Iterative DFS; returns parent pointers for every reached vertex."""
-    neighbours = ifg.successors if forward else ifg.predecessors
-    parents: dict[str, str | None] = {start: None}
+def _reach(adjacency: dict[str, list[str]],
+           start: str) -> dict[str, tuple[str, ...]]:
+    """Iterative DFS from ``start``: every reached vertex's search path.
+
+    Each path is its discoverer's path plus the vertex itself, starting
+    at ``start`` — the chain the DFS's parent pointers would spell.
+    """
+    paths = {start: (start,)}
     stack = [start]
+    pop, push = stack.pop, stack.append
     while stack:
-        vertex = stack.pop()
-        for neighbour in neighbours(vertex):
-            if neighbour not in parents:
-                parents[neighbour] = vertex
-                stack.append(neighbour)
-    return parents
+        vertex = pop()
+        base = paths[vertex]
+        for neighbour in adjacency[vertex]:
+            if neighbour not in paths:
+                paths[neighbour] = base + (neighbour,)
+                push(neighbour)
+    return paths
 
 
-def _walk(parents: dict[str, str | None], start: str, end: str) -> tuple[str, ...]:
-    """Reconstruct the path start → end from parent pointers."""
-    path = [end]
-    while path[-1] != start:
-        parent = parents[path[-1]]
-        assert parent is not None, "broken parent chain"
-        path.append(parent)
-    path.reverse()
-    return tuple(path)
+def _numbered(by_source: dict[str, list[tuple[str, tuple[str, ...]]]]
+              ) -> list[PdlcItem]:
+    """Items in the deterministic order: by source, then destination.
+
+    Each source's list must already be sorted by destination.  The
+    architectural and microarchitectural sets are disjoint, so no pair
+    joins a register to itself.
+    """
+    # tuple.__new__ skips the NamedTuple constructor's Python frame
+    # (this runs once per channel, ~9k times on the small BOOM preset).
+    new = tuple.__new__
+    items: list[PdlcItem] = []
+    append = items.append
+    for source in sorted(by_source):
+        for dest, path in by_source[source]:
+            append(new(PdlcItem, (len(items), source, dest, path)))
+    return items
 
 
 def pdlc_pair_set(items: list[PdlcItem]) -> set[tuple[str, str]]:

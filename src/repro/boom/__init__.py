@@ -28,7 +28,6 @@ from repro.boom.config import BoomConfig
 from repro.boom.vulns import VulnConfig
 from repro.boom.core import BoomCore, CoreResult, Commit
 from repro.boom.netlist import build_boom_netlist
-from repro.boom.stats import RunStats, run_stats
 
 __all__ = [
     "BoomConfig",
@@ -37,6 +36,4 @@ __all__ = [
     "CoreResult",
     "Commit",
     "build_boom_netlist",
-    "RunStats",
-    "run_stats",
 ]

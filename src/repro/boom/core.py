@@ -111,7 +111,6 @@ class CoreResult:
     halt_reason: str
     arch_regs: list[int]
     csr_values: dict[int, int]
-    squashed_count: int = 0
     #: End-of-run state hashes of the instrumented microarchitectural
     #: components (what a SpecDoctor-style tool hashes for mismatches).
     instrumented: dict[str, int] = field(default_factory=dict)
@@ -364,7 +363,6 @@ class _Engine:
         self.halted = False
         self.halt_reason = "max_cycles"
         self.last_commit_cycle = 0
-        self.squashed_count = 0
         self._next_spec_tag = 1
         self._resolved_this_cycle = False
         #: Stores whose addresses resolved this cycle ("ssb" armed):
@@ -436,7 +434,6 @@ class _Engine:
             halt_reason=self.halt_reason,
             arch_regs=list(self.arch_regs),
             csr_values=dict(self.csr.values),
-            squashed_count=self.squashed_count,
             instrumented={
                 "dcache": _stable_hash(self.dcache.state_fingerprint()),
                 "bpu": _stable_hash((
@@ -640,7 +637,6 @@ class _Engine:
 
         # ---- squash ----
         squashed = self.rob.squash_after(entry)
-        self.squashed_count += len(squashed)
         self._bump("squash.events")
         self._bump("squash.instructions", len(squashed))
 
@@ -939,7 +935,6 @@ class _Engine:
             ))
 
         squashed = self.rob.squash_after(load)
-        self.squashed_count += len(squashed)
         self._bump("squash.events")
         self._bump("squash.instructions", len(squashed))
 

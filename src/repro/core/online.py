@@ -171,20 +171,15 @@ class OnlinePhase:
             )
         self.mst = MisspeculationTable()
         self.stats = OnlineStats()
-        #: IFT :class:`LeakReport` and/or contract
-        #: :class:`~repro.contracts.detector.ContractViolation` objects,
-        #: in detection order (both carry ``kind`` and ``render()``).
-        self.reports: list = []
         #: Total trace events examined by this phase's analysis queries
         #: (summed per-run telemetry; the bench harness reports it as
         #: events-examined/iteration).  Kept outside :class:`OnlineStats`
         #: so persisted shard artifacts keep their existing shape.
         self.events_examined = 0
-        #: Covered-PDLC progress, recorded for *both* coverage arms so
-        #: Figure 2 can plot the code-coverage-guided fuzzer on the same
-        #: y-axis (the LP calculator runs as a passive observer there).
+        #: Covered PDLCs, recorded for *both* coverage arms so Figure 2
+        #: can plot the code-coverage-guided fuzzer on the same y-axis
+        #: (the LP calculator runs as a passive observer there).
         self.lp_covered: set[int] = set()
-        self.lp_curve: list[int] = []
         #: Pipeline phase the current evaluate() call is in — read by
         #: the crash-containment path to attribute escaped exceptions.
         self._phase = "simulate"
@@ -248,7 +243,6 @@ class OnlinePhase:
                 self.stats.memo_misses += memo_miss_delta
                 self.events_examined += \
                     self.contract.events_examined - variant_events_before
-            self.reports.extend(reports)
 
         self._phase = "coverage"
         with telemetry.timed("online/coverage") as coverage_timer:
@@ -259,7 +253,6 @@ class OnlinePhase:
             else:
                 items = self.code.items(result)
                 self.lp_covered.update(self.lp.covered(result))
-            self.lp_curve.append(len(self.lp_covered))
         self.events_examined += result.trace.events_examined
 
         self.stats.programs += 1

@@ -1,6 +1,7 @@
 """Campaign reports: what a Specure run found, rendered for humans.
 
-``reports`` may hold findings of either detection pathway — IFT
+``reports`` (derived from the fuzz findings) may hold findings of
+either detection pathway — IFT
 :class:`~repro.detection.vulnerability.LeakReport` objects and contract
 :class:`~repro.contracts.detector.ContractViolation` objects — told
 apart by their ``kind`` prefix.  When a campaign ran both detectors
@@ -11,12 +12,11 @@ flagged by exactly one detector are where the two oracles disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.offline import OfflineArtifacts
 from repro.core.online import OnlineStats
 from repro.detection.mst import MisspeculationTable
-from repro.detection.vulnerability import LeakReport
 from repro.fuzz.crash import CRASH_KIND
 from repro.fuzz.fuzzer import CampaignResult
 from repro.utils.text import ascii_table
@@ -40,7 +40,6 @@ class CampaignReport:
     fuzz: CampaignResult
     stats: OnlineStats
     mst: MisspeculationTable
-    reports: list[LeakReport] = field(default_factory=list)
     #: The detection pathways that actually ran (distinguishes "the IFT
     #: detector found nothing" from "the IFT detector never ran" —
     #: findings alone cannot tell the two apart).
@@ -50,6 +49,14 @@ class CampaignReport:
     #: the knob off, rendered reports stay byte-identical to pre-knob
     #: references.
     static_prune: bool = False
+
+    @property
+    def reports(self) -> list:
+        """The details of :attr:`fuzz.findings <CampaignResult.findings>`
+        in finding order: leak reports, contract violations and
+        contained-crash reports.  The findings are the one record of
+        detections, so the report list cannot drift from them."""
+        return [finding.detail for finding in self.fuzz.findings]
 
     def detected_kinds(self) -> set[str]:
         return {report.kind for report in self.reports}

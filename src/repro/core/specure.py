@@ -36,7 +36,6 @@ from repro.core.offline import OfflineArtifacts, run_offline
 from repro.core.online import OnlinePhase
 from repro.core.report import CampaignReport
 from repro.fuzz.categories import validate_categories, words_in_categories
-from repro.fuzz.crash import CRASH_KIND
 from repro.fuzz.fuzzer import CampaignResult, Fuzzer, FuzzFinding
 from repro.fuzz.input import TestProgram
 from repro.fuzz.mutations import MutationEngine
@@ -71,18 +70,11 @@ class SpecureCampaign:
             start_iteration=start_iteration, resume_result=resume_result,
         )
         mode = self.online.detector_mode
-        # Contained crashes live in the fuzz findings (the step loop
-        # never reached the point where the online phase records a
-        # report) — surface them in the report's reports list so the
-        # crash section, the store, and replay all see them.
-        crashes = [finding.detail for finding in fuzz_result.findings
-                   if finding.kind == CRASH_KIND]
         return CampaignReport(
             offline=self.offline,
             fuzz=fuzz_result,
             stats=self.online.stats,
             mst=self.online.mst,
-            reports=self.online.reports + crashes,
             detectors=("ift", "contract") if mode == "both" else (mode,),
             static_prune=self.online.static_prune,
         )

@@ -43,20 +43,39 @@ class FuzzObserver:
 
 @dataclass
 class CampaignResult:
-    """What one fuzzing campaign produced."""
+    """What one fuzzing campaign produced.
+
+    ``discovery_log`` is the one record of coverage and ``findings`` the
+    one record of detections; the coverage curve is derived from the
+    log, so a merged or restored result can never disagree with it.
+    """
 
     iterations: int
-    coverage_curve: list[int] = field(default_factory=list)  # total per iter
     findings: list[FuzzFinding] = field(default_factory=list)
     corpus_size: int = 0
-    executed_programs: int = 0
-    #: Each coverage item with the iteration that first discovered it,
-    #: in discovery order.  ``coverage_curve`` is derivable from this
-    #: log; sharded runs merge logs to compute exact union curves.
+    #: Each coverage item with the iteration that discovered it, in
+    #: discovery order.  A single campaign logs each item once; a merge
+    #: of shards may log an item once per shard that found it.
     discovery_log: list[tuple[int, object]] = field(default_factory=list)
 
+    @property
+    def coverage_curve(self) -> list[int]:
+        """Distinct items discovered up to each iteration (one entry per
+        iteration): the dedup of the iteration-sorted log, so one shard
+        and a merge of many share one algorithm."""
+        log = sorted(self.discovery_log, key=lambda entry: entry[0])
+        seen: set = set()
+        curve = []
+        position = 0
+        for iteration in range(self.iterations):
+            while position < len(log) and log[position][0] <= iteration:
+                seen.add(log[position][1])
+                position += 1
+            curve.append(len(seen))
+        return curve
+
     def final_coverage(self) -> int:
-        return self.coverage_curve[-1] if self.coverage_curve else 0
+        return len({item for _iteration, item in self.discovery_log})
 
     def iterations_to_coverage(self, target: int) -> int | None:
         """First iteration reaching ``target`` total coverage, or None."""
@@ -149,7 +168,6 @@ class Fuzzer:
                 with recorder.span("online/iteration"):
                     program = self._next_input(index)
                     new_items = self._run_one(index, program, result)
-                result.coverage_curve.append(len(self.coverage))
                 result.iterations = index + 1
                 if recorder.enabled:
                     recorder.count("fuzz.iterations")
@@ -172,7 +190,6 @@ class Fuzzer:
                 gc.enable()
                 gc.collect()
         result.corpus_size = len(self.corpus)
-        result.executed_programs = result.iterations
         return result
 
     # -- internals -----------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.fuzz.fuzzer import FuzzObserver
 from repro.harness.parallel import map_shards, shard_seed
 from repro.scenarios.spec import ScenarioSpec
 
@@ -90,11 +91,13 @@ def _coverage_repeat(unit: tuple[ScenarioSpec, int]) -> CoverageCurve:
     spec, repeat = unit
     specure = spec.override(seed=shard_seed(spec.seed, repeat)).build_specure()
     campaign = specure.build_campaign()
-    campaign.run(spec.iterations)
-    return CoverageCurve(
-        label=f"{spec.coverage}#{repeat}",
-        values=list(campaign.online.lp_curve),
-    )
+    curve = CoverageCurve(label=f"{spec.coverage}#{repeat}")
+    # One point per iteration, read after the fuzz loop has finished
+    # it: an iteration whose evaluation crashed repeats the last count.
+    campaign.run(spec.iterations, observer=FuzzObserver(
+        on_iteration=lambda index, new, total: curve.values.append(
+            len(campaign.online.lp_covered))))
+    return curve
 
 
 def run_coverage_campaign(
@@ -112,9 +115,10 @@ def run_coverage_campaign(
     Repeat ``k`` runs at :func:`~repro.harness.parallel.shard_seed`
     ``(spec.seed, k)``; with ``jobs >= 2`` the repeats run in parallel
     worker processes and the returned curves are byte-identical to a
-    serial run.  A repeat returns its own online phase's LP curve,
-    which a merged :class:`~repro.core.report.CampaignReport` does not
-    carry, so repeats are not scenario shards.
+    serial run.  A repeat records its own online phase's covered-PDLC
+    count after every iteration, which a merged
+    :class:`~repro.core.report.CampaignReport` does not carry, so
+    repeats are not scenario shards.
     """
     units = [(spec, repeat) for repeat in range(repeats)]
     return map_shards(_coverage_repeat, units, jobs)

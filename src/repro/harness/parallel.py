@@ -96,7 +96,6 @@ from repro import telemetry
 from repro.core.offline import OfflineArtifacts, run_offline
 from repro.core.report import CampaignReport
 from repro.core.specure import Specure
-from repro.detection.vulnerability import LeakReport
 from repro.fuzz.fuzzer import CampaignResult
 from repro.puts.base import Put, build_put, statics_key
 from repro.utils import rundir
@@ -631,10 +630,11 @@ def merge_campaign_results(results: list[CampaignResult]) -> CampaignResult:
     """Merge shard fuzzing results onto one concatenated timeline.
 
     Shard ``k``'s iterations are re-stamped with the offset
-    ``sum(iterations of shards < k)``; the merged coverage curve counts
-    distinct items discovered by *any* shard up to each global
-    iteration.  The merge is associative: merging pre-merged prefixes
-    yields the same result as merging all shards at once.
+    ``sum(iterations of shards < k)``; the merged log keeps every
+    shard's discoveries, so the derived coverage curve counts distinct
+    items discovered by *any* shard up to each global iteration.  The
+    merge is associative: merging pre-merged prefixes yields the same
+    result as merging all shards at once.
     """
     merged = CampaignResult(iterations=0)
     offset = 0
@@ -647,23 +647,7 @@ def merge_campaign_results(results: list[CampaignResult]) -> CampaignResult:
             merged.discovery_log.append((iteration + offset, item))
         offset += result.iterations
         merged.corpus_size += result.corpus_size
-        merged.executed_programs += result.executed_programs
     merged.iterations = offset
-
-    seen: set = set()
-    curve = []
-    log = sorted(merged.discovery_log, key=lambda entry: entry[0])
-    position = 0
-    count = 0
-    for iteration in range(offset):
-        while position < len(log) and log[position][0] <= iteration:
-            item = log[position][1]
-            if item not in seen:
-                seen.add(item)
-                count += 1
-            position += 1
-        curve.append(count)
-    merged.coverage_curve = curve
     return merged
 
 
@@ -671,12 +655,13 @@ def merge_reports(reports: list[CampaignReport]) -> CampaignReport:
     """Merge shard :class:`CampaignReport` objects into one.
 
     The result has the same type and shape as a serial campaign's
-    report: merged stats (additive), a canonically ordered MST, leak
-    reports concatenated in shard order, and a fuzz result on the
-    concatenated iteration timeline.  A single report merges to itself
-    (identity), so a one-shard run is indistinguishable from serial —
-    including the MST's discovery order, which a multi-shard merge
-    replaces with the canonical (start, end, tag) order.
+    report: merged stats (additive), a canonically ordered MST, and a
+    fuzz result on the concatenated iteration timeline (whose findings,
+    in shard order, are the merged report list).  A single report
+    merges to itself (identity), so a one-shard run is
+    indistinguishable from serial — including the MST's discovery
+    order, which a multi-shard merge replaces with the canonical
+    (start, end, tag) order.
     """
     if not reports:
         raise ValueError("no shard reports to merge")
@@ -684,16 +669,12 @@ def merge_reports(reports: list[CampaignReport]) -> CampaignReport:
         return reports[0]
     stats = reports[0].stats.merge(*(r.stats for r in reports[1:]))
     mst = reports[0].mst.merge(*(r.mst for r in reports[1:]))
-    leak_reports: list[LeakReport] = []
-    for report in reports:
-        leak_reports.extend(report.reports)
     fuzz = merge_campaign_results([report.fuzz for report in reports])
     return CampaignReport(
         offline=reports[0].offline,
         fuzz=fuzz,
         stats=stats,
         mst=mst,
-        reports=leak_reports,
         detectors=reports[0].detectors,
         static_prune=reports[0].static_prune,
     )

@@ -157,7 +157,6 @@ class RtlPut(Put):
         self.coverage: dict[str, int] = {}
         self.halted = False
         self.halt_reason = "max_cycles"
-        self.squashed_count = 0
         self._last_commit_cycle = 0
         self._budget = min(program.max_cycles, config.max_cycles)
         self._rdata = 0
@@ -207,7 +206,6 @@ class RtlPut(Put):
             halt_reason=self.halt_reason,
             arch_regs=arch_regs,
             csr_values={},
-            squashed_count=self.squashed_count,
         )
 
     # -- design structure ---------------------------------------------------
@@ -287,7 +285,6 @@ class RtlPut(Put):
         self.coverage[point] = self.coverage.get(point, 0) + 1
         if values[slots.c_mispred]:
             self.coverage["mispredict"] = self.coverage.get("mispredict", 0) + 1
-            self.squashed_count += 2
         if halt:
             self.halted = True
             self.halt_reason = "ecall"

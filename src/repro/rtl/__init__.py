@@ -14,8 +14,8 @@ commercial-simulator stack:
 * :mod:`repro.rtl.semantics` owns the Verilog operator rules, which
   :mod:`repro.rtl.compile` turns into straight-line Python and
   :mod:`repro.rtl.sim` runs cycle by cycle
-  (:mod:`repro.rtl.sim_reference` keeps the AST interpreter as the
-  test oracle);
+  (``tests/sim_reference.py`` keeps the AST interpreter as the test
+  oracle);
 * :mod:`repro.rtl.trace` holds change-event traces (VCD-style) shared by
   the RTL simulator and the core model — the "snapshots" of the paper's
   Microarchitecture Visualizer are reconstructed from these.

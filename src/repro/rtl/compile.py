@@ -23,8 +23,8 @@ whole states at C level.
 
 Operators are emitted from the templates in :mod:`repro.rtl.semantics`,
 the same table the constant folder evaluates, and
-:mod:`repro.rtl.sim_reference` keeps the original interpreter as the
-oracle the test suite checks this code against.  Unsupported constructs
+``tests/sim_reference.py`` keeps the original interpreter as the oracle
+the test suite checks this code against.  Unsupported constructs
 are rejected here, at compile time, with a :class:`SimulationError`
 naming the signal they drive.
 

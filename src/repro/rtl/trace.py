@@ -43,7 +43,7 @@ the naive full-scan cost, and the bench gate uses it as a
 machine-independent regression check.
 
 A retained reference implementation with the same API but the seed's
-plain event-list storage lives in :mod:`repro.rtl.trace_reference`; the
+plain event-list storage lives in ``tests/trace_reference.py``; the
 equivalence suite (``tests/test_trace_columnar.py``) drives both through
 random record/query interleavings and requires identical answers.
 """
@@ -62,8 +62,8 @@ class ChangeEvent(NamedTuple):
 
     Materialised *on request only* — the trace stores columns, not event
     objects.  A :class:`~typing.NamedTuple` so the (cold) consumers that
-    do ask for events (VCD export, toggle coverage, tests) keep field
-    access by name at tuple cost.
+    do ask for events (toggle coverage, tests) keep field access by name
+    at tuple cost.
     """
 
     cycle: int
@@ -257,8 +257,8 @@ class SignalTrace:
         """The full event stream, materialised as :class:`ChangeEvent`.
 
         A fresh list per call — the storage is the columns.  Meant for
-        cold consumers (VCD export, toggle coverage, tests); hot paths
-        use :meth:`columns` / :meth:`signal_event_positions`.
+        cold consumers (toggle coverage, tests); hot paths use
+        :meth:`columns` / :meth:`signal_event_positions`.
         """
         new = tuple.__new__
         return [

@@ -1,13 +1,16 @@
 """Mid-shard checkpoints: snapshot and restore a running campaign.
 
 A checkpoint captures *everything* the remaining iterations of a shard
-depend on — the fuzzer's RNG streams (input scheduling and the mutation
-engine), its coverage set and corpus (programs, discovery counts, pick
-counters), the partial :class:`~repro.fuzz.fuzzer.CampaignResult`, and
-the online phase's accumulated state (stats, misspeculation table,
-reports, LP progress) — so a shard resumed from its checkpoint makes
-exactly the draws and discoveries an uninterrupted run would have made
-from that iteration on.  The fidelity contract is pinned by test:
+depend on that cannot be rebuilt — the fuzzer's RNG streams (input
+scheduling and the mutation engine), its corpus (programs, discovery
+counts, pick counters), the partial
+:class:`~repro.fuzz.fuzzer.CampaignResult` (discovery log and
+findings), and the online phase's accumulated state (stats,
+misspeculation table, covered PDLCs) — so a shard resumed from its
+checkpoint makes exactly the draws and discoveries an uninterrupted run
+would have made from that iteration on.  The fuzzer's coverage set is
+rebuilt from the discovery log; the coverage curve and the report list
+are derived from the result.  The fidelity contract is pinned by test:
 checkpointed-resume ``report.txt`` is byte-identical to a straight run.
 
 Records are JSON (one per shard, written atomically into the run
@@ -29,20 +32,16 @@ from repro.fuzz.corpus import Corpus, CorpusEntry
 from repro.scenarios.store import (
     campaign_result_from_dict,
     campaign_result_to_dict,
-    decode_item,
-    encode_item,
     online_stats_to_dict,
     program_from_dict,
     program_to_dict,
-    report_from_dict,
-    report_to_dict,
     window_to_dict,
 )
 from repro.utils import rundir
 
 #: Bump when the state layout changes; mismatched checkpoints are
 #: ignored (the shard restarts from iteration 0 — always correct).
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(directory: str | Path, shard: int, record: dict) -> None:
@@ -77,10 +76,6 @@ def checkpoint_record(shard: int, seed: int, next_iteration: int,
     state = {
         "rng": fuzzer.rng.getstate(),
         "mutator_rng": fuzzer.mutator.rng.getstate(),
-        # Sets serialise sorted by repr (heterogeneous item tuples are
-        # not order-comparable): byte-stable files, identical restores.
-        "coverage": sorted(
-            (encode_item(item) for item in fuzzer.coverage), key=repr),
         "corpus": [
             {
                 "program": program_to_dict(entry.program),
@@ -93,9 +88,7 @@ def checkpoint_record(shard: int, seed: int, next_iteration: int,
         "online": {
             "stats": online_stats_to_dict(online.stats),
             "mst": [window_to_dict(w) for w in online.mst.rows],
-            "reports": [report_to_dict(r) for r in online.reports],
             "lp_covered": sorted(online.lp_covered),
-            "lp_curve": list(online.lp_curve),
             "events_examined": online.events_examined,
         },
     }
@@ -123,7 +116,6 @@ def restore_campaign(record: dict, campaign):
 
     fuzzer.rng.setstate(state["rng"])
     fuzzer.mutator.rng.setstate(state["mutator_rng"])
-    fuzzer.coverage = {decode_item(item) for item in state["coverage"]}
     corpus = Corpus(max_entries=fuzzer.corpus.max_entries)
     for entry in state["corpus"]:
         program = program_from_dict(entry["program"])
@@ -135,9 +127,9 @@ def restore_campaign(record: dict, campaign):
     saved = state["online"]
     online.stats = OnlineStats(**saved["stats"])
     online.mst.rows = [DetectedWindow(**w) for w in saved["mst"]]
-    online.reports = [report_from_dict(r) for r in saved["reports"]]
     online.lp_covered = set(saved["lp_covered"])
-    online.lp_curve = list(saved["lp_curve"])
     online.events_examined = saved["events_examined"]
 
-    return record["next_iteration"], campaign_result_from_dict(state["result"])
+    result = campaign_result_from_dict(state["result"])
+    fuzzer.coverage = {item for _iteration, item in result.discovery_log}
+    return record["next_iteration"], result

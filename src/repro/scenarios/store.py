@@ -10,7 +10,7 @@ artifacts under one run directory as it goes:
     ``complete``), base seed and shard count.
 ``shards/shard-NNNN.json``
     One complete shard's campaign artifacts (fuzz result with discovery
-    log, online stats, MST rows, leak reports) — written atomically when
+    log and findings, online stats, MST rows) — written atomically when
     the shard finishes, so an interrupt never leaves a half shard that
     counts as done.
 ``findings.jsonl``
@@ -258,9 +258,7 @@ def _finding_from_dict(data: dict) -> FuzzFinding:
 def campaign_result_to_dict(result: CampaignResult) -> dict:
     return {
         "iterations": result.iterations,
-        "coverage_curve": list(result.coverage_curve),
         "corpus_size": result.corpus_size,
-        "executed_programs": result.executed_programs,
         "discovery_log": [
             [iteration, encode_item(item)]
             for iteration, item in result.discovery_log
@@ -270,10 +268,11 @@ def campaign_result_to_dict(result: CampaignResult) -> dict:
 
 
 def campaign_result_from_dict(data: dict) -> CampaignResult:
+    """The inverse of :func:`campaign_result_to_dict`.  Records written
+    before the curve was derived also carry ``coverage_curve`` and
+    ``executed_programs``; both are rebuilt, so they are ignored."""
     result = CampaignResult(iterations=data["iterations"])
-    result.coverage_curve = list(data["coverage_curve"])
     result.corpus_size = data["corpus_size"]
-    result.executed_programs = data["executed_programs"]
     result.discovery_log = [
         (iteration, decode_item(item))
         for iteration, item in data["discovery_log"]
@@ -306,11 +305,13 @@ def shard_report_to_dict(shard: int, seed: int,
         "fuzz": campaign_result_to_dict(report.fuzz),
         "stats": online_stats_to_dict(report.stats),
         "mst": [window_to_dict(w) for w in report.mst.rows],
-        "reports": [report_to_dict(r) for r in report.reports],
     }
 
 
 def shard_report_from_dict(data: dict, offline) -> CampaignReport:
+    """The inverse of :func:`shard_report_to_dict`.  Records written
+    before the report list was derived from the findings also carry
+    ``reports``; it is ignored."""
     return CampaignReport(
         offline=offline,
         fuzz=campaign_result_from_dict(data["fuzz"]),
@@ -318,7 +319,6 @@ def shard_report_from_dict(data: dict, offline) -> CampaignReport:
         mst=MisspeculationTable(
             rows=[DetectedWindow(**w) for w in data["mst"]]
         ),
-        reports=[report_from_dict(r) for r in data["reports"]],
         # Stores written before the contract pathway carry no detector
         # list; they were IFT-only by construction.  Likewise stores
         # written before the static_prune knob never pruned.

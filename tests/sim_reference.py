@@ -4,7 +4,7 @@
 evaluation.  It is kept, with the public API of
 :class:`repro.rtl.sim.RtlSimulator`, only so the test suite can check
 the compiled simulator against an independent, obviously-correct
-implementation — the way :mod:`repro.rtl.trace_reference` serves the
+implementation — the way :mod:`tests.trace_reference` serves the
 columnar trace.  Production code simulates through
 :mod:`repro.rtl.compile`.
 

@@ -32,7 +32,7 @@ from repro.analysis import (
     lint_netlist,
     parse_waivers,
 )
-from repro.analysis.fixtures import (
+from tests.analysis_fixtures import (
     DEADPATH_FIXTURE,
     FLUSHY_FIXTURE,
     LINT_FIXTURES,

@@ -104,8 +104,9 @@ class TestOnlinePhase:
     def test_code_coverage_arm_tracks_lp_curve(self, specure):
         online = OnlinePhase(specure.core, specure.offline(),
                              spec(coverage="code"))
-        online.evaluate(zenbleed_trigger())
-        assert online.lp_curve and online.lp_curve[0] > 0
+        items, _findings, _meta = online.evaluate(zenbleed_trigger())
+        assert items and all(tag != "lp" for tag, *_ in items)
+        assert len(online.lp_covered) > 0
 
     def test_bad_coverage_kind(self, specure):
         # The spec rejects it before any pipeline is wired.

@@ -8,7 +8,7 @@ the unseeded module-level ``random`` API (D002).
 
 from pathlib import Path
 
-from repro.analysis.fixtures import (
+from tests.analysis_fixtures import (
     DETERMINISM_CLEAN,
     DETERMINISM_SET_ITERATION,
     DETERMINISM_UNSEEDED_RANDOM,

@@ -32,7 +32,6 @@ def result_fingerprint(result):
         result.halt_reason,
         result.arch_regs,
         result.csr_values,
-        result.squashed_count,
         result.instrumented,
     )
 

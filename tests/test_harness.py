@@ -64,6 +64,29 @@ class TestCampaignRunners:
         assert all(len(curve.values) == 6 for curve in curves)
         assert all(curve.final() > 0 for curve in curves)
 
+    def test_crashed_iteration_repeats_the_previous_point(self, monkeypatch):
+        """A contained crash still yields one curve point per iteration:
+        the crashed iteration repeats its predecessor's count instead of
+        shifting every later Figure 2 point one iteration left."""
+        from repro.coverage.lp import LpCoverage
+        from repro.scenarios import resolve_scenario
+
+        real_items = LpCoverage.items
+        calls = []
+
+        def items_raising_once(self, result):
+            calls.append(None)
+            if len(calls) == 5:
+                raise ValueError("injected coverage-phase failure")
+            return real_items(self, result)
+
+        monkeypatch.setattr(LpCoverage, "items", items_raising_once)
+        quick = resolve_scenario("spec-cpu-quickstart").override(iterations=12)
+        [curve] = run_coverage_campaign(quick, repeats=1)
+        assert len(curve.values) == quick.iterations
+        assert curve.values[4] == curve.values[3]
+        assert curve.values == sorted(curve.values)
+
     def test_code_arm_also_reports_lp(self):
         curves = run_coverage_campaign(
             spec(coverage="code", iterations=5, seed=5), repeats=1)

@@ -105,20 +105,12 @@ def fuzz_result(iterations, discoveries, findings=()):
     """A synthetic shard result. ``discoveries``: [(iteration, item)]."""
     result = CampaignResult(iterations=iterations)
     result.discovery_log = list(discoveries)
-    seen = 0
-    position = 0
-    for i in range(iterations):
-        while position < len(discoveries) and discoveries[position][0] <= i:
-            seen += 1
-            position += 1
-        result.coverage_curve.append(seen)
     program = TestProgram(words=[0x13])
     result.findings = [
         FuzzFinding(iteration=i, kind=kind, detail=None, program=program)
         for i, kind in findings
     ]
     result.corpus_size = len(discoveries)
-    result.executed_programs = iterations
     return result
 
 

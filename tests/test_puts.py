@@ -54,7 +54,6 @@ def result_fingerprint(result):
         result.halt_reason,
         result.arch_regs,
         result.csr_values,
-        result.squashed_count,
     )
 
 

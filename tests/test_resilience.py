@@ -223,6 +223,33 @@ class TestCrashContainment:
         assert crashes[0].program.words  # poison program bytes kept
         assert "Contained crashes" in report.render(include_timings=False)
 
+    def test_coverage_phase_crash_leaves_no_orphan_report(self,
+                                                          monkeypatch):
+        """A crash after detection ran must not leave that iteration's
+        reports behind: every report count equals its finding count."""
+        from collections import Counter
+
+        from repro.coverage.lp import LpCoverage
+        from repro.fuzz.crash import CRASH_KIND
+
+        real_items = LpCoverage.items
+        calls = []
+
+        def items_raising_once(self, result):
+            calls.append(None)
+            if len(calls) == 1:
+                raise ValueError("injected coverage-phase failure")
+            return real_items(self, result)
+
+        monkeypatch.setattr(LpCoverage, "items", items_raising_once)
+        report = _quick_spec(iterations=3).build_specure() \
+            .build_campaign().run(3)
+        crash = report.fuzz.first_finding(CRASH_KIND)
+        assert (crash.iteration, crash.detail.phase) == (0, "coverage")
+        reports = {row["kind"]: row["reports"]
+                   for row in report.to_dict()["detections"]}
+        assert reports == Counter(f.kind for f in report.fuzz.findings)
+
     def test_poison_program_minimizes_stores_and_replays(self, tmp_path,
                                                          monkeypatch):
         """A program that genuinely crashes the simulator becomes a
@@ -314,6 +341,30 @@ class TestCheckpoints:
         start, partial = restore_campaign(
             {"version": 999, "next_iteration": 5, "state": {}}, campaign)
         assert (start, partial) == (0, None)
+
+    def test_v1_record_restarts_from_scratch(self):
+        """A checkpoint of the previous layout (it also stored the
+        coverage set, the report list and the curves) is ignored: the
+        shard restarts from 0 and renders the straight run's report."""
+        from repro.harness.parallel import shard_seed
+        from repro.scenarios import resolve_scenario
+        from repro.scenarios.checkpoint import restore_campaign
+
+        path = (Path(__file__).parent / "data" / "spec-cpu-v1"
+                / "checkpoint-v1-shard-0001.json")
+        record = json.loads(path.read_text())
+        assert (record["version"], record["next_iteration"]) == (1, 1)
+        base = resolve_scenario("spec-cpu-quickstart")
+        spec = base.override(seed=shard_seed(base.seed, 1), iterations=3)
+        straight = spec.build_specure().build_campaign().run(3)
+
+        campaign = spec.build_specure().build_campaign()
+        start, partial = restore_campaign(record, campaign)
+        assert (start, partial) == (0, None)
+        report = campaign.run(3, start_iteration=start,
+                              resume_result=partial)
+        assert report.render(include_timings=False) == \
+            straight.render(include_timings=False)
 
     def test_crashed_shard_resumes_from_checkpoint(self, tmp_path,
                                                    monkeypatch):

@@ -1,7 +1,7 @@
 """The compiled RTL simulator against the reference interpreter.
 
 :mod:`repro.rtl.compile` turns a design into straight-line Python;
-:mod:`repro.rtl.sim_reference` keeps the AST interpreter it replaced.
+:mod:`tests.sim_reference` keeps the AST interpreter it replaced.
 The two must agree at every signal on every cycle:
 
 * on hypothesis-generated designs that use every operator, nested
@@ -38,7 +38,7 @@ from repro.rtl.elaborate import elaborate
 from repro.rtl.parser import parse
 from repro.rtl.semantics import BINARY, UNARY
 from repro.rtl.sim import RtlSimulator
-from repro.rtl.sim_reference import ReferenceSimulator
+from tests.sim_reference import ReferenceSimulator
 from tests.test_puts import result_fingerprint
 
 REPO = Path(__file__).resolve().parents[1]

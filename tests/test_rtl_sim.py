@@ -13,7 +13,7 @@ from repro.rtl import ast
 from repro.rtl.elaborate import elaborate
 from repro.rtl.parser import parse
 from repro.rtl.sim import RtlSimulator, SimulationError
-from repro.rtl.sim_reference import ReferenceSimulator
+from tests.sim_reference import ReferenceSimulator
 from tests.test_rtl_parser import LISTING_1
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rtl.trace import SignalTrace
-from repro.rtl.vcd import _identifier, parse_vcd_values, write_vcd
+from tests.vcd import _identifier, parse_vcd_values, write_vcd
 
 
 def small_trace() -> SignalTrace:

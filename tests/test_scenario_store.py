@@ -1,7 +1,9 @@
 """Tests for the persistent campaign store: resume, replay, round-trips."""
 
 import json
+import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,7 @@ from repro.scenarios import (
     resume_scenario,
     run_scenario,
 )
-from repro.harness.parallel import shared_statics
+from repro.harness.parallel import merge_reports, shared_statics
 from repro.scenarios.runner import ShardTask, _execute_shard
 from repro.scenarios.store import (
     STATUS_COMPLETE,
@@ -249,6 +251,57 @@ class TestReplay:
         root = tmp_path / "quiet"
         run_scenario(spec, run_dir=root, minimize=False)
         assert replay_findings(root) == []
+
+
+#: A ``spec-cpu-quickstart`` run directory (2 shards x 3 iterations,
+#: minimized) written by the store before the coverage curve, the
+#: executed-program count and the report list were derived, plus a
+#: version-1 checkpoint of its shard 1 after one iteration.
+PRIOR_FORMAT = Path(__file__).parent / "data" / "spec-cpu-v1"
+
+
+def _sorted_lines(path: Path) -> list[str]:
+    return sorted(path.read_text().splitlines())
+
+
+class TestPriorFormatRunDirectory:
+    @pytest.fixture
+    def prior_run(self, tmp_path):
+        root = tmp_path / "run"
+        shutil.copytree(PRIOR_FORMAT / "run", root)
+        return root
+
+    def test_merge_of_stored_shards_renders_the_stored_report(
+            self, prior_run):
+        store = CampaignStore.open(prior_run)
+        _core, offline = shared_statics(store.spec.build_config())
+        shards = [store.load_shard_report(shard, offline)
+                  for shard in store.completed_shards()]
+        merged = merge_reports(shards)
+        assert merged.render(include_timings=False) + "\n" == \
+            (PRIOR_FORMAT / "run" / "report.txt").read_text()
+
+    def test_resume_ignores_v1_checkpoint_and_matches_stored_run(
+            self, prior_run):
+        store = CampaignStore.open(prior_run)
+        (prior_run / rundir.SHARD_DIR / rundir.shard_file(1)).unlink()
+        shutil.copy(PRIOR_FORMAT / "checkpoint-v1-shard-0001.json",
+                    store.checkpoint_dir(create=True) / rundir.shard_file(1))
+        store.set_status(STATUS_INTERRUPTED)
+
+        outcome = resume_scenario(prior_run)
+        assert (outcome.resumed_shards, outcome.executed_shards) == ([0], [1])
+        for name in (rundir.FINDINGS_FILE, rundir.CORPUS_FILE,
+                     rundir.COVERAGE_FILE):
+            assert _sorted_lines(prior_run / name) == \
+                _sorted_lines(PRIOR_FORMAT / "run" / name), name
+        assert (prior_run / "report.txt").read_bytes() == \
+            (PRIOR_FORMAT / "run" / "report.txt").read_bytes()
+
+    def test_replay_confirms_every_prior_finding(self, prior_run):
+        results = replay_findings(prior_run)
+        assert len(results) == len(CampaignStore.open(prior_run).findings())
+        assert results and all(result.confirmed for result in results)
 
 
 class TestOfflineOnly:

@@ -1,11 +1,9 @@
-"""Tests for run statistics and test-case trimming."""
+"""Tests for test-case trimming."""
 
 import pytest
 
 from repro.boom import BoomConfig, BoomCore, VulnConfig
-from repro.boom.stats import run_stats
 from repro.fuzz.input import TestProgram
-from repro.fuzz.seeds import mispredict_seed, special_seeds
 from repro.fuzz.trim import trim_program, trim_register_context
 from repro.fuzz.triggers import zenbleed_trigger
 from repro.isa.assembler import assemble
@@ -14,48 +12,6 @@ from repro.isa.assembler import assemble
 @pytest.fixture(scope="module")
 def core():
     return BoomCore(BoomConfig.small(VulnConfig.all()))
-
-
-class TestRunStats:
-    def test_basic_fields(self, core):
-        result = core.run(mispredict_seed())
-        stats = run_stats(result)
-        assert stats.cycles == result.cycles
-        assert stats.instructions == result.instret
-        assert 0 < stats.ipc <= core.config.commit_width
-        assert stats.windows >= stats.mispredicted >= 1
-        assert 0 <= stats.misprediction_rate <= 1
-        assert stats.halt_reason == "halt_instruction"
-
-    def test_hit_rates_bounded(self, core):
-        for seed in special_seeds():
-            stats = run_stats(core.run(seed))
-            assert 0 <= stats.dcache_hit_rate <= 1
-            assert 0 <= stats.tlb_hit_rate <= 1
-
-    def test_no_speculation_program(self, core):
-        words = assemble("addi t0, zero, 1\naddi t1, t0, 2\necall\n")
-        stats = run_stats(core.run(TestProgram(words=words)))
-        assert stats.windows == 0
-        assert stats.misprediction_rate == 0.0
-        assert stats.max_speculation_depth == 0
-
-    def test_render(self, core):
-        stats = run_stats(core.run(mispredict_seed()))
-        text = stats.render()
-        assert "IPC" in text and "misprediction rate" in text
-
-    def test_zero_cycle_safety(self):
-        from repro.boom.core import CoreResult
-        from repro.rtl.trace import SignalTrace
-
-        empty = CoreResult(
-            trace=SignalTrace([], []), commits=[], windows=[],
-            coverage_points={}, cycles=0, instret=0, halt_reason="max_cycles",
-            arch_regs=[0] * 32, csr_values={},
-        )
-        stats = run_stats(empty)
-        assert stats.ipc == 0.0
 
 
 class TestTrimProgram:

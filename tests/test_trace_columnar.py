@@ -3,7 +3,7 @@
 :class:`repro.rtl.trace.SignalTrace` stores events in four typed-array
 columns and answers queries through bisects, per-signal indexes, a
 snapshot resume memo, and cached window views.
-:class:`repro.rtl.trace_reference.ReferenceSignalTrace` is the retained
+:class:`tests.trace_reference.ReferenceSignalTrace` is the retained
 executable specification: the seed's plain event list with linear-scan
 queries.  These tests drive *random record/query interleavings* through
 both and require identical answers — the columnar machinery may only
@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rtl.trace import ChangeEvent, SignalTrace
-from repro.rtl.trace_reference import ReferenceSignalTrace
+from tests.trace_reference import ReferenceSignalTrace
 
 _M64 = (1 << 64) - 1
 

@@ -9,6 +9,9 @@ root-cause report by eye.
 
 Hierarchical dotted names become nested ``$scope`` modules; widths are
 taken from an optional width map (64 by default).
+
+No campaign path calls this exporter, so it lives beside its tests
+(``tests/test_rtl_vcd.py``) rather than in the package.
 """
 
 from __future__ import annotations

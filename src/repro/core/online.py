@@ -25,7 +25,7 @@ the campaign report surfaces.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Any
 
 from repro import faultinject, telemetry
@@ -47,7 +47,9 @@ DETECTORS = ("ift", "contract", "both")
 
 @dataclass
 class OnlineStats:
-    """Aggregate counters over all evaluations of a campaign."""
+    """Aggregate counters over all evaluations of a campaign: the one
+    record of the online work counts (telemetry derives its ``online.*``
+    counters from the merged stats)."""
 
     programs: int = 0
     cycles: int = 0
@@ -57,16 +59,18 @@ class OnlineStats:
     simulate_seconds: float = 0.0
     analysis_seconds: float = 0.0
     #: Extra hardware runs the contract detector's variant inputs made
-    #: and the violations it confirmed (0 on IFT-only campaigns, so
-    #: pre-contract shard artifacts load with the defaults).
+    #: (0 on IFT-only campaigns, so pre-contract shard artifacts load
+    #: with the default).
     contract_runs: int = 0
-    contract_violations: int = 0
     #: Golden-trace memo traffic: ISS contract-trace requests served
     #: from the keyed LRU memo (hits) vs executed fresh (misses).
     #: 0/0 on IFT-only campaigns and on shard artifacts that predate
     #: the memo, which therefore load with the defaults.
     memo_hits: int = 0
     memo_misses: int = 0
+    #: Trace events examined by the analysis queries (the bench harness
+    #: reports it as events-examined/iteration).
+    events_examined: int = 0
 
     def merge(self, *others: "OnlineStats") -> "OnlineStats":
         """Field-wise sum with other shards' stats (new object).
@@ -74,20 +78,17 @@ class OnlineStats:
         Every field is an additive counter, so the merge is commutative
         and associative — shard completion order does not matter.
         """
-        merged = OnlineStats(**vars(self))
-        for other in others:
-            merged.programs += other.programs
-            merged.cycles += other.cycles
-            merged.instructions += other.instructions
-            merged.windows += other.windows
-            merged.mispredicted_windows += other.mispredicted_windows
-            merged.simulate_seconds += other.simulate_seconds
-            merged.analysis_seconds += other.analysis_seconds
-            merged.contract_runs += other.contract_runs
-            merged.contract_violations += other.contract_violations
-            merged.memo_hits += other.memo_hits
-            merged.memo_misses += other.memo_misses
-        return merged
+        stats = (self, *others)
+        return OnlineStats(**{
+            f.name: sum(getattr(s, f.name) for s in stats)
+            for f in fields(OnlineStats)
+        })
+
+    def counts(self) -> dict[str, int]:
+        """The work counts: every integer field, not the wall-clock
+        timings, which vary run to run (telemetry keeps those in spans)."""
+        return {f.name: getattr(self, f.name) for f in fields(OnlineStats)
+                if not isinstance(f.default, float)}
 
 
 def _statics(build: Callable[[], Any]) -> Callable[[], Any]:
@@ -171,11 +172,6 @@ class OnlinePhase:
             )
         self.mst = MisspeculationTable()
         self.stats = OnlineStats()
-        #: Total trace events examined by this phase's analysis queries
-        #: (summed per-run telemetry; the bench harness reports it as
-        #: events-examined/iteration).  Kept outside :class:`OnlineStats`
-        #: so persisted shard artifacts keep their existing shape.
-        self.events_examined = 0
         #: Covered PDLCs, recorded for *both* coverage arms so Figure 2
         #: can plot the code-coverage-guided fuzzer on the same y-axis
         #: (the LP calculator runs as a passive observer there).
@@ -183,6 +179,11 @@ class OnlinePhase:
         #: Pipeline phase the current evaluate() call is in — read by
         #: the crash-containment path to attribute escaped exceptions.
         self._phase = "simulate"
+
+    @property
+    def events_examined(self) -> int:
+        """Trace events examined so far (``stats.events_examined``)."""
+        return self.stats.events_examined
 
     # -- the fuzzer-facing API ------------------------------------------------
 
@@ -209,8 +210,7 @@ class OnlinePhase:
 
     def _evaluate(self, program: TestProgram):
         self._phase = "simulate"
-        events_before = self.events_examined
-        memo_hit_delta = memo_miss_delta = variant_run_delta = 0
+        stats = self.stats
         variant_seconds = 0.0
         with telemetry.timed("online/simulate") as simulate_timer:
             result = self.core.run(program)
@@ -219,30 +219,34 @@ class OnlinePhase:
         with telemetry.timed("online/detect") as detect_timer:
             windows = self.leakage.windows(result)
             self.mst.add_windows(windows)
+            # Counted with the MST rows, so a later contained crash
+            # cannot leave rows the stats never saw.
+            stats.programs += 1
+            stats.cycles += result.cycles
+            stats.instructions += result.instret
+            stats.windows += len(windows)
+            stats.mispredicted_windows += sum(
+                1 for w in windows if w.mispredicted
+            )
             reports: list = []
             if self.detector_mode in ("ift", "both"):
                 leaks = self.leakage.potential_leaks(result, windows=windows)
                 reports.extend(self.vulnerability.detect(result, leaks))
             if self.contract is not None:
-                memo = self.contract.memo
-                runs_before = self.contract.variant_runs
-                variant_seconds_before = self.contract.variant_seconds
-                variant_events_before = self.contract.events_examined
+                contract, memo = self.contract, self.contract.memo
+                runs_before = contract.variant_runs
+                variant_seconds_before = contract.variant_seconds
+                variant_events_before = contract.events_examined
                 memo_hits_before = memo.hits
                 memo_misses_before = memo.misses
-                violations = self.contract.detect(program, result)
-                reports.extend(violations)
-                variant_run_delta = self.contract.variant_runs - runs_before
+                reports.extend(contract.detect(program, result))
                 variant_seconds = \
-                    self.contract.variant_seconds - variant_seconds_before
-                self.stats.contract_runs += variant_run_delta
-                self.stats.contract_violations += len(violations)
-                memo_hit_delta = memo.hits - memo_hits_before
-                memo_miss_delta = memo.misses - memo_misses_before
-                self.stats.memo_hits += memo_hit_delta
-                self.stats.memo_misses += memo_miss_delta
-                self.events_examined += \
-                    self.contract.events_examined - variant_events_before
+                    contract.variant_seconds - variant_seconds_before
+                stats.contract_runs += contract.variant_runs - runs_before
+                stats.memo_hits += memo.hits - memo_hits_before
+                stats.memo_misses += memo.misses - memo_misses_before
+                stats.events_examined += \
+                    contract.events_examined - variant_events_before
 
         self._phase = "coverage"
         with telemetry.timed("online/coverage") as coverage_timer:
@@ -253,29 +257,20 @@ class OnlinePhase:
             else:
                 items = self.code.items(result)
                 self.lp_covered.update(self.lp.covered(result))
-        self.events_examined += result.trace.events_examined
-
-        self.stats.programs += 1
-        self.stats.cycles += result.cycles
-        self.stats.instructions += result.instret
-        self.stats.windows += len(windows)
-        self.stats.mispredicted_windows += sum(
-            1 for w in windows if w.mispredicted
-        )
+        stats.events_examined += result.trace.events_examined
         # The contract detector's variant runs happen inside the detect
         # phase but are PUT simulation; move their time across.
-        self.stats.simulate_seconds += simulate_timer.seconds + variant_seconds
-        self.stats.analysis_seconds += detect_timer.seconds \
+        stats.simulate_seconds += simulate_timer.seconds + variant_seconds
+        stats.analysis_seconds += detect_timer.seconds \
             - variant_seconds + coverage_timer.seconds
 
         findings = [(report.kind, report) for report in reports]
         recorder = telemetry.recorder()
-        if recorder.enabled:
-            self._emit_metrics(recorder, reports, windows, events_before)
-            if self.contract is not None:
-                recorder.count("contract.variant_runs", variant_run_delta)
-                recorder.count("memo.hits", memo_hit_delta)
-                recorder.count("memo.misses", memo_miss_delta)
+        if recorder.enabled and self.lp.total:
+            recorder.gauge(
+                "lp.coverage_pct",
+                round(100.0 * len(self.lp_covered) / self.lp.total, 3),
+            )
         metadata = {
             "cycles": result.cycles,
             "instret": result.instret,
@@ -283,32 +278,6 @@ class OnlinePhase:
             "windows": len(windows),
         }
         return items, findings, metadata
-
-    def _emit_metrics(self, recorder, reports, windows,
-                      events_before: int) -> None:
-        """Per-evaluation telemetry metrics (enabled recorders only).
-
-        Pure observation: reads counters the pipeline already computed,
-        never consumes randomness or branches the campaign.
-        """
-        recorder.count("online.evaluations")
-        recorder.count("online.events_examined",
-                       self.events_examined - events_before)
-        if windows:
-            recorder.count("online.windows", len(windows))
-            mispredicted = sum(1 for w in windows if w.mispredicted)
-            if mispredicted:
-                recorder.count("online.mispredicted_windows", mispredicted)
-        for report in reports:
-            kind = getattr(report, "kind", "unknown")
-            detector = "contract" if str(kind).startswith("contract") \
-                else "ift"
-            recorder.count(f"findings.{detector}")
-        if self.lp.total:
-            recorder.gauge(
-                "lp.coverage_pct",
-                round(100.0 * len(self.lp_covered) / self.lp.total, 3),
-            )
 
     def run_once(self, program: TestProgram) -> tuple[CoreResult, list]:
         """Single-run convenience (examples, tests, minimization, replay):

@@ -34,8 +34,12 @@ class Corpus:
 
     max_entries: int = 256
     entries: list[CorpusEntry] = field(default_factory=list)
-    #: :meth:`TestProgram.key` of every retained entry.
-    _keys: set[tuple] = field(default_factory=set)
+    #: :meth:`TestProgram.key` of every retained entry (derived from
+    #: ``entries``).
+    _keys: set[tuple] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._keys = {entry.program.key() for entry in self.entries}
 
     def add(self, program: TestProgram, new_items: int) -> bool:
         """Retain an input that found ``new_items`` new coverage items.

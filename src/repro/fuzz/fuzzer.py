@@ -170,9 +170,8 @@ class Fuzzer:
                     new_items = self._run_one(index, program, result)
                 result.iterations = index + 1
                 if recorder.enabled:
-                    recorder.count("fuzz.iterations")
-                    if new_items:
-                        recorder.count("fuzz.new_coverage_items", new_items)
+                    # Per-operator yield has no other record; iteration
+                    # and coverage counts derive from the result.
                     for op in self._provenance:
                         recorder.count(f"mutation.{op}.programs")
                         if new_items:

@@ -5,13 +5,15 @@ depend on that cannot be rebuilt — the fuzzer's RNG streams (input
 scheduling and the mutation engine), its corpus (programs, discovery
 counts, pick counters), the partial
 :class:`~repro.fuzz.fuzzer.CampaignResult` (discovery log and
-findings), and the online phase's accumulated state (stats,
+findings), and the online phase's accumulated state (work counts,
 misspeculation table, covered PDLCs) — so a shard resumed from its
 checkpoint makes exactly the draws and discoveries an uninterrupted run
-would have made from that iteration on.  The fuzzer's coverage set is
-rebuilt from the discovery log; the coverage curve and the report list
-are derived from the result.  The fidelity contract is pinned by test:
-checkpointed-resume ``report.txt`` is byte-identical to a straight run.
+would have made from that iteration on.  The wall-clock timings are
+left out, so a record is a pure function of the shard's seed and
+iteration.  The fuzzer's coverage set is rebuilt from the discovery
+log; the coverage curve and the report list are derived from the
+result.  The fidelity contract is pinned by test: checkpointed-resume
+``report.txt`` is byte-identical to a straight run.
 
 Records are JSON (one per shard, written atomically into the run
 directory's checkpoint directory, :mod:`repro.utils.rundir`) and
@@ -26,13 +28,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.core.online import OnlineStats
 from repro.detection.windows import DetectedWindow
 from repro.fuzz.corpus import Corpus, CorpusEntry
 from repro.scenarios.store import (
     campaign_result_from_dict,
     campaign_result_to_dict,
-    online_stats_to_dict,
+    online_stats_from_dict,
     program_from_dict,
     program_to_dict,
     window_to_dict,
@@ -41,7 +42,7 @@ from repro.utils import rundir
 
 #: Bump when the state layout changes; mismatched checkpoints are
 #: ignored (the shard restarts from iteration 0 — always correct).
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def save_checkpoint(directory: str | Path, shard: int, record: dict) -> None:
@@ -86,10 +87,11 @@ def checkpoint_record(shard: int, seed: int, next_iteration: int,
         ],
         "result": campaign_result_to_dict(result),
         "online": {
-            "stats": online_stats_to_dict(online.stats),
+            # Work counts only: the wall-clock timings would make the
+            # record differ between two runs of the same campaign.
+            "stats": online.stats.counts(),
             "mst": [window_to_dict(w) for w in online.mst.rows],
             "lp_covered": sorted(online.lp_covered),
-            "events_examined": online.events_examined,
         },
     }
     return {
@@ -116,19 +118,19 @@ def restore_campaign(record: dict, campaign):
 
     fuzzer.rng.setstate(state["rng"])
     fuzzer.mutator.rng.setstate(state["mutator_rng"])
-    corpus = Corpus(max_entries=fuzzer.corpus.max_entries)
-    for entry in state["corpus"]:
-        program = program_from_dict(entry["program"])
-        corpus.entries.append(
-            CorpusEntry(program, entry["new_items"], picks=entry["picks"]))
-        corpus._keys.add(program.key())
-    fuzzer.corpus = corpus
+    fuzzer.corpus = Corpus(
+        max_entries=fuzzer.corpus.max_entries,
+        entries=[
+            CorpusEntry(program_from_dict(entry["program"]),
+                        entry["new_items"], picks=entry["picks"])
+            for entry in state["corpus"]
+        ],
+    )
 
     saved = state["online"]
-    online.stats = OnlineStats(**saved["stats"])
+    online.stats = online_stats_from_dict(saved["stats"])
     online.mst.rows = [DetectedWindow(**w) for w in saved["mst"]]
     online.lp_covered = set(saved["lp_covered"])
-    online.events_examined = saved["events_examined"]
 
     result = campaign_result_from_dict(state["result"])
     fuzzer.coverage = {item for _iteration, item in result.discovery_log}

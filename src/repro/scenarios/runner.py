@@ -75,6 +75,7 @@ from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.store import (
     STATUS_INTERRUPTED,
     CampaignStore,
+    detector_of,
     program_from_dict,
 )
 from repro.telemetry import export as telemetry_export
@@ -495,13 +496,30 @@ def _drive(
                                       seconds=seconds)
     finally:
         telemetry.disable()
-    outcome.telemetry = _finish_telemetry(recorder, store, spec)
+    outcome.telemetry = _finish_telemetry(recorder, store, spec,
+                                          outcome.report)
     return outcome
 
 
+def _count_report(recorder, report: CampaignReport) -> None:
+    """Count the campaign's work and findings once, from the merged
+    report, so the counters match ``report.txt`` at any jobs count and
+    across resume and quarantine."""
+    for name, value in report.stats.counts().items():
+        recorder.count(f"online.{name}", value)
+    recorder.count("fuzz.iterations", report.fuzz.iterations)
+    recorder.count("fuzz.new_coverage_items", len(report.fuzz.discovery_log))
+    for finding in report.fuzz.findings:
+        recorder.count(f"findings.{detector_of(finding.detail)}")
+
+
 def _finish_telemetry(recorder, store: CampaignStore | None,
-                      spec: ScenarioSpec) -> TelemetrySummary:
-    """Persist the parent recorder and build the merged run summary."""
+                      spec: ScenarioSpec,
+                      report: CampaignReport | None) -> TelemetrySummary:
+    """Count the merged report into the parent recorder, persist it and
+    build the merged run summary."""
+    if report is not None:
+        _count_report(recorder, report)
     if store is None:
         return summarize_recorder(recorder)
     records: list[dict] = [telemetry_export.meta_record(

@@ -39,6 +39,7 @@ pure function of the configuration and are never stored).
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 from repro.contracts.detector import ContractViolation
@@ -285,6 +286,15 @@ def online_stats_to_dict(stats: OnlineStats) -> dict:
     return dict(vars(stats))
 
 
+def online_stats_from_dict(data: dict) -> OnlineStats:
+    """The inverse of :func:`online_stats_to_dict`.  Keys that are not
+    :class:`OnlineStats` fields are ignored (records written before
+    ``contract_violations`` was derived from the findings carry it);
+    missing fields take their defaults."""
+    names = {f.name for f in fields(OnlineStats)}
+    return OnlineStats(**{k: v for k, v in data.items() if k in names})
+
+
 def window_to_dict(window: DetectedWindow) -> dict:
     return {
         "tag": window.tag, "start": window.start, "end": window.end,
@@ -315,7 +325,7 @@ def shard_report_from_dict(data: dict, offline) -> CampaignReport:
     return CampaignReport(
         offline=offline,
         fuzz=campaign_result_from_dict(data["fuzz"]),
-        stats=OnlineStats(**data["stats"]),
+        stats=online_stats_from_dict(data["stats"]),
         mst=MisspeculationTable(
             rows=[DetectedWindow(**w) for w in data["mst"]]
         ),

@@ -12,11 +12,10 @@ Layers:
 * :mod:`repro.telemetry.spans` — hierarchical wall-clock spans and the
   swap-in :class:`Recorder` (``span`` records-when-on, ``timed``
   always measures).
-* :mod:`repro.telemetry.metrics` — counters/gauges/histograms with an
-  additive ``merge()`` matching the ``OnlineStats`` discipline.
-* :mod:`repro.telemetry.export` — JSONL event log, Prometheus text,
-  the compact :class:`TelemetrySummary`, and the mini schema
-  validator.
+* :mod:`repro.telemetry.metrics` — counters/gauges with an additive
+  ``merge()`` matching the ``OnlineStats`` discipline.
+* :mod:`repro.telemetry.export` — JSONL event log, the compact
+  :class:`TelemetrySummary`, and the mini schema validator.
 * :mod:`repro.telemetry.heartbeat` — per-shard log writers
   (iteration-cadenced heartbeats + final span/metric dump).
 * :mod:`repro.telemetry.runstats` — loads a run directory's telemetry
@@ -36,12 +35,11 @@ from repro.telemetry.export import (
     read_jsonl,
     records_to_metrics,
     records_to_spans,
-    render_prometheus,
     validate_records,
     write_jsonl,
 )
 from repro.telemetry.heartbeat import HeartbeatWriter, rss_kb
-from repro.telemetry.metrics import HistogramStat, MetricSet
+from repro.telemetry.metrics import MetricSet
 from repro.telemetry.runstats import (
     RunTelemetry,
     load_run_telemetry,
@@ -61,7 +59,6 @@ from repro.telemetry.spans import (
     enable,
     enabled,
     gauge,
-    observe,
     recorder,
     span,
     timed,
@@ -69,7 +66,6 @@ from repro.telemetry.spans import (
 
 __all__ = [
     "HeartbeatWriter",
-    "HistogramStat",
     "MetricSet",
     "NullRecorder",
     "Recorder",
@@ -89,12 +85,10 @@ __all__ = [
     "load_schema",
     "meta_record",
     "metric_records",
-    "observe",
     "read_jsonl",
     "recorder",
     "records_to_metrics",
     "records_to_spans",
-    "render_prometheus",
     "render_stats",
     "rss_kb",
     "span",

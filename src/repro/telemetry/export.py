@@ -1,15 +1,12 @@
-"""Telemetry wire formats: JSONL event log, Prometheus text, summary.
+"""Telemetry wire formats: JSONL event log and summary.
 
-Three export surfaces, all stdlib-only:
+Two export surfaces, both stdlib-only:
 
 * **JSONL event log** — one JSON object per line, discriminated by
   ``type`` (``meta`` / ``span`` / ``metric`` / ``heartbeat`` /
   ``complete``).  Readers drop a torn trailing line (a killed worker's
   partial write) exactly like the scenario store's shard logs, and
   raise :class:`TelemetryError` on mid-file corruption.
-* **Prometheus text exposition** — counters, gauges, and histogram
-  count/sum/min/max rendered in the ``# TYPE`` text format so a
-  scraper (or a human) can diff two runs with standard tooling.
 * **TelemetrySummary** — the compact JSON the report section and
   ``repro stats --format json`` share: wall clock, tracked seconds,
   phase rows, shard rows, merged metrics.
@@ -74,15 +71,12 @@ def metric_records(metrics: MetricSet) -> list[dict]:
     for name in sorted(metrics.gauges):
         records.append({"type": "metric", "kind": "gauge", "name": name,
                         "value": metrics.gauges[name]})
-    for name in sorted(metrics.histograms):
-        stat = metrics.histograms[name]
-        records.append({"type": "metric", "kind": "histogram", "name": name,
-                        "count": stat.count, "total": stat.total,
-                        "min": stat.minimum, "max": stat.maximum})
     return records
 
 
 def records_to_metrics(records: list[dict]) -> MetricSet:
+    """Rebuild a log's metric set; records of other kinds (histograms,
+    which older logs may hold) are ignored."""
     metrics = MetricSet()
     for record in records:
         if record.get("type") != "metric":
@@ -92,14 +86,6 @@ def records_to_metrics(records: list[dict]) -> MetricSet:
             metrics.counters[name] = record.get("value", 0)
         elif kind == "gauge":
             metrics.gauges[name] = record.get("value", 0)
-        elif kind == "histogram":
-            from repro.telemetry.metrics import HistogramStat
-            metrics.histograms[name] = HistogramStat(
-                count=int(record.get("count", 0)),
-                total=float(record.get("total", 0.0)),
-                minimum=record.get("min"),
-                maximum=record.get("max"),
-            )
     return metrics
 
 
@@ -126,46 +112,6 @@ def read_jsonl(path: Path | str) -> list[dict]:
     torn final line, which is dropped; a malformed line before the end
     means the file is corrupt and raises :class:`TelemetryError`."""
     return rundir.read_jsonl(path, TelemetryError)
-
-
-# -- Prometheus text exposition ---------------------------------------------
-
-def _prom_name(prefix: str, name: str) -> str:
-    cleaned = "".join(
-        ch if ch.isalnum() or ch == "_" else "_" for ch in name
-    )
-    return prefix + cleaned
-
-
-def _prom_value(value: float) -> str:
-    if value is None:
-        return "NaN"
-    as_float = float(value)
-    if as_float == int(as_float):
-        return str(int(as_float))
-    return repr(as_float)
-
-
-def render_prometheus(metrics: MetricSet, prefix: str = "repro_") -> str:
-    """Render a MetricSet in the Prometheus text exposition format."""
-    lines: list[str] = []
-    for name in sorted(metrics.counters):
-        prom = _prom_name(prefix, name)
-        lines.append(f"# TYPE {prom} counter")
-        lines.append(f"{prom} {_prom_value(metrics.counters[name])}")
-    for name in sorted(metrics.gauges):
-        prom = _prom_name(prefix, name)
-        lines.append(f"# TYPE {prom} gauge")
-        lines.append(f"{prom} {_prom_value(metrics.gauges[name])}")
-    for name in sorted(metrics.histograms):
-        stat = metrics.histograms[name]
-        prom = _prom_name(prefix, name)
-        lines.append(f"# TYPE {prom} summary")
-        lines.append(f"{prom}_count {stat.count}")
-        lines.append(f"{prom}_sum {_prom_value(stat.total)}")
-        lines.append(f"{prom}_min {_prom_value(stat.minimum)}")
-        lines.append(f"{prom}_max {_prom_value(stat.maximum)}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # -- compact summary --------------------------------------------------------

@@ -1,21 +1,23 @@
-"""Named counters, gauges, and histograms for campaign telemetry.
+"""Named counters and gauges for campaign telemetry.
 
 A :class:`MetricSet` is the value-side companion to the span recorder:
 spans say where wall-clock went, metrics say how much work happened
 (iterations, findings by detector, memo hits, events examined, LP
-coverage, per-mutation-operator yield).
+coverage, per-mutation-operator yield).  The campaign's work and
+finding counts are derived once from the merged report
+(:mod:`repro.scenarios.runner`); only quantities no report records are
+counted as they happen.
 
 Merging follows the :class:`repro.core.online.OnlineStats` discipline —
 field-wise addition, commutative and associative — so per-shard metric
 sets aggregate into exactly the campaign-level set regardless of shard
 order or ``--jobs`` count:
 
-* **counters** add,
-* **histograms** add (count and total sum; min/max fold), and
+* **counters** add, and
 * **gauges** merge by ``max`` — the one deliberate deviation, because a
-  gauge is a level, not a flow.  Every gauge we emit (LP coverage %,
-  corpus size) is monotone within a shard, so ``max`` picks each
-  shard's final value and the merge stays order-independent.
+  gauge is a level, not a flow.  The one gauge we emit (LP coverage %)
+  is monotone within a shard, so ``max`` picks each shard's final value
+  and the merge stays order-independent.
 """
 
 from __future__ import annotations
@@ -25,62 +27,11 @@ from dataclasses import dataclass, field
 
 
 @dataclass
-class HistogramStat:
-    """Streaming summary of an observed distribution (no buckets).
-
-    Count/total/min/max is all the phase tables need, and unlike
-    bucketed histograms it merges exactly.
-    """
-
-    count: int = 0
-    total: float = 0.0
-    minimum: float | None = None
-    maximum: float | None = None
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        self.total += value
-        self.minimum = value if self.minimum is None else min(self.minimum, value)
-        self.maximum = value if self.maximum is None else max(self.maximum, value)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def merged(self, other: "HistogramStat") -> "HistogramStat":
-        out = HistogramStat(self.count + other.count, self.total + other.total)
-        lows = [v for v in (self.minimum, other.minimum) if v is not None]
-        highs = [v for v in (self.maximum, other.maximum) if v is not None]
-        out.minimum = min(lows) if lows else None
-        out.maximum = max(highs) if highs else None
-        return out
-
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.minimum,
-            "max": self.maximum,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HistogramStat":
-        return cls(
-            count=int(data.get("count", 0)),
-            total=float(data.get("total", 0.0)),
-            minimum=data.get("min"),
-            maximum=data.get("max"),
-        )
-
-
-@dataclass
 class MetricSet:
-    """A thread-safe bag of named counters, gauges, and histograms."""
+    """A thread-safe bag of named counters and gauges."""
 
     counters: dict[str, float] = field(default_factory=dict)
     gauges: dict[str, float] = field(default_factory=dict)
-    histograms: dict[str, HistogramStat] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
@@ -95,36 +46,21 @@ class MetricSet:
         with self._lock:
             self.gauges[name] = float(value)
 
-    def observe(self, name: str, value: float) -> None:
-        with self._lock:
-            stat = self.histograms.get(name)
-            if stat is None:
-                stat = self.histograms[name] = HistogramStat()
-            stat.observe(value)
-
     # -- aggregation --------------------------------------------------------
 
     def is_empty(self) -> bool:
-        return not (self.counters or self.gauges or self.histograms)
+        return not (self.counters or self.gauges)
 
     def merge(self, *others: "MetricSet") -> "MetricSet":
         """Return a new set folding ``others`` into ``self`` (additive)."""
-        out = MetricSet(
-            counters=dict(self.counters),
-            gauges=dict(self.gauges),
-            histograms={k: v.merged(HistogramStat())
-                        for k, v in self.histograms.items()},
-        )
+        out = MetricSet(counters=dict(self.counters),
+                        gauges=dict(self.gauges))
         for other in others:
             for name, value in other.counters.items():
                 out.counters[name] = out.counters.get(name, 0) + value
             for name, value in other.gauges.items():
                 have = out.gauges.get(name)
                 out.gauges[name] = value if have is None else max(have, value)
-            for name, stat in other.histograms.items():
-                have = out.histograms.get(name)
-                out.histograms[name] = (stat.merged(HistogramStat())
-                                        if have is None else have.merged(stat))
         return out
 
     # -- codec --------------------------------------------------------------
@@ -133,8 +69,6 @@ class MetricSet:
         return {
             "counters": {k: self.counters[k] for k in sorted(self.counters)},
             "gauges": {k: self.gauges[k] for k in sorted(self.gauges)},
-            "histograms": {k: self.histograms[k].to_dict()
-                           for k in sorted(self.histograms)},
         }
 
     @classmethod
@@ -142,6 +76,4 @@ class MetricSet:
         return cls(
             counters=dict(data.get("counters", {})),
             gauges=dict(data.get("gauges", {})),
-            histograms={k: HistogramStat.from_dict(v)
-                        for k, v in data.get("histograms", {}).items()},
         )

@@ -10,8 +10,8 @@ summary; :mod:`repro.utils.rundir` names them — into a
 * what were the slowest individual spans,
 * what is each shard doing (iterations, coverage, RSS, last-heartbeat
   lag, complete or not), and
-* what do the merged metrics say (counters add, histograms add, gauges
-  max — the :class:`~repro.telemetry.metrics.MetricSet` discipline).
+* what do the merged metrics say (counters add, gauges max — the
+  :class:`~repro.telemetry.metrics.MetricSet` discipline).
 
 Shard telemetry merges by shard id exactly like shard reports merge by
 unit id: file order never matters, so ``--jobs 1`` and ``--jobs 8``
@@ -342,13 +342,6 @@ def render_stats(run: RunTelemetry, top: int = 10) -> str:
             metric_rows.append([name, "counter", rendered])
         for name in sorted(metrics.gauges):
             metric_rows.append([name, "gauge", f"{metrics.gauges[name]:g}"])
-        for name in sorted(metrics.histograms):
-            stat = metrics.histograms[name]
-            metric_rows.append([
-                name, "histogram",
-                f"n={stat.count} mean={stat.mean:g} "
-                f"min={stat.minimum:g} max={stat.maximum:g}",
-            ])
         out.append(ascii_table(["metric", "kind", "value"], metric_rows,
                                title="metrics (merged across shards)"))
     return "\n".join(out)

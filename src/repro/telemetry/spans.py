@@ -238,9 +238,6 @@ class Recorder:
     def gauge(self, name: str, value: float) -> None:
         self.metrics.gauge(name, value)
 
-    def observe(self, name: str, value: float) -> None:
-        self.metrics.observe(name, value)
-
 
 class NullRecorder:
     """The disabled recorder: every operation is a no-op."""
@@ -258,9 +255,6 @@ class NullRecorder:
         pass
 
     def gauge(self, name: str, value: float) -> None:
-        pass
-
-    def observe(self, name: str, value: float) -> None:
         pass
 
 
@@ -316,7 +310,3 @@ def count(name: str, value: float = 1) -> None:
 
 def gauge(name: str, value: float) -> None:
     _RECORDER.gauge(name, value)
-
-
-def observe(name: str, value: float) -> None:
-    _RECORDER.observe(name, value)

@@ -23,6 +23,7 @@ from repro.scenarios.store import (
     CampaignStore,
     contract_violation_from_dict,
     contract_violation_to_dict,
+    detector_of,
     report_from_dict,
     report_to_dict,
     shard_report_from_dict,
@@ -74,7 +75,8 @@ class TestOnlinePhaseDispatch:
         online = _specure(detector="contract").build_online()
         _, findings, _ = online.evaluate(mispredict_seed())
         assert online.stats.contract_runs == 2  # the two variants
-        assert online.stats.contract_violations == 1
+        assert sum(1 for _, report in findings
+                   if detector_of(report) == "contract") == 1
         assert [kind for kind, _ in findings] == ["contract_ct_seq"]
 
     def test_variant_runs_count_as_simulation(self):
@@ -134,11 +136,11 @@ class TestOnlinePhaseDispatch:
     def test_stats_merge_includes_contract_counters(self):
         from repro.core.online import OnlineStats
 
-        a = OnlineStats(contract_runs=2, contract_violations=1)
-        b = OnlineStats(contract_runs=3, contract_violations=0)
+        a = OnlineStats(contract_runs=2, memo_hits=1)
+        b = OnlineStats(contract_runs=3, memo_misses=4)
         merged = a.merge(b)
         assert merged.contract_runs == 5
-        assert merged.contract_violations == 1
+        assert (merged.memo_hits, merged.memo_misses) == (1, 4)
 
 
 class TestScenarioAcceptance:

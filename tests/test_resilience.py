@@ -249,6 +249,10 @@ class TestCrashContainment:
         reports = {row["kind"]: row["reports"]
                    for row in report.to_dict()["detections"]}
         assert reports == Counter(f.kind for f in report.fuzz.findings)
+        # The crashed iteration's windows reached the MST in the detect
+        # phase; the stats count them there too.
+        assert report.stats.programs == 3
+        assert report.stats.mispredicted_windows == len(report.mst.rows)
 
     def test_poison_program_minimizes_stores_and_replays(self, tmp_path,
                                                          monkeypatch):
@@ -333,6 +337,23 @@ class TestCheckpoints:
         assert start == 6
         report = resumed.run(8, start_iteration=start, resume_result=partial)
         assert report.render(include_timings=False) == reference
+
+    def test_checkpoint_is_a_pure_function_of_the_iteration(self):
+        """Two runs of the same campaign write byte-identical records:
+        no wall-clock timing leaks into a checkpoint."""
+        from repro.scenarios.checkpoint import checkpoint_record
+
+        spec = _quick_spec(iterations=51)
+        blobs = []
+        for _ in range(2):
+            campaign = spec.build_specure().build_campaign()
+            campaign.run(51, checkpoint_every=50,
+                         on_checkpoint=lambda next_iteration, result:
+                         blobs.append(json.dumps(checkpoint_record(
+                             0, spec.seed, next_iteration, campaign,
+                             result))))
+        assert len(blobs) == 2
+        assert blobs[0] == blobs[1]
 
     def test_version_mismatch_restarts_from_scratch(self):
         from repro.scenarios.checkpoint import restore_campaign

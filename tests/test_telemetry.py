@@ -29,7 +29,6 @@ from repro.telemetry import (
     metric_records,
     read_jsonl,
     records_to_metrics,
-    render_prometheus,
     summarize,
     validate_records,
     write_jsonl,
@@ -67,7 +66,6 @@ class TestSpans:
         with null_a:
             telemetry.count("x")
             telemetry.gauge("y", 1.0)
-            telemetry.observe("z", 2.0)
         assert telemetry.recorder().metrics is None
 
     def test_nesting_depth_and_self_time(self, recorder):
@@ -121,20 +119,14 @@ class TestSpans:
 
 
 class TestMetrics:
-    def test_counter_gauge_histogram(self):
+    def test_counter_and_gauge(self):
         metrics = MetricSet()
         metrics.count("iters")
         metrics.count("iters", 2)
         metrics.gauge("pct", 40.0)
         metrics.gauge("pct", 70.0)
-        metrics.observe("probe", 1.0)
-        metrics.observe("probe", 3.0)
         assert metrics.counters["iters"] == 3
         assert metrics.gauges["pct"] == 70.0
-        stat = metrics.histograms["probe"]
-        assert (stat.count, stat.total) == (2, 4.0)
-        assert (stat.minimum, stat.maximum) == (1.0, 3.0)
-        assert stat.mean == pytest.approx(2.0)
 
     def test_merge_is_additive_like_online_stats(self):
         a, b = MetricSet(), MetricSet()
@@ -142,20 +134,15 @@ class TestMetrics:
         b.count("iters", 3)
         a.gauge("pct", 50.0)
         b.gauge("pct", 30.0)
-        a.observe("probe", 1.0)
-        b.observe("probe", 5.0)
         merged = a.merge(b)
         assert merged.counters["iters"] == 5
         assert merged.gauges["pct"] == 50.0  # max across shards
-        stat = merged.histograms["probe"]
-        assert (stat.count, stat.minimum, stat.maximum) == (2, 1.0, 5.0)
         # Merge does not mutate its inputs.
         assert a.counters["iters"] == 2 and b.counters["iters"] == 3
 
     def test_dict_round_trip(self):
         metrics = MetricSet()
         metrics.count("iters", 7)
-        metrics.observe("probe", 2.5)
         restored = MetricSet.from_dict(metrics.to_dict())
         assert restored.to_dict() == metrics.to_dict()
 
@@ -163,24 +150,11 @@ class TestMetrics:
         metrics = MetricSet()
         metrics.count("iters", 7)
         metrics.gauge("pct", 12.5)
-        metrics.observe("probe", 2.5)
         restored = records_to_metrics(metric_records(metrics))
         assert restored.to_dict() == metrics.to_dict()
 
 
 class TestExport:
-    def test_prometheus_rendering(self):
-        metrics = MetricSet()
-        metrics.count("fuzz.iterations", 60)
-        metrics.gauge("lp.coverage_pct", 87.5)
-        metrics.observe("minimize.probe", 0.25)
-        text = render_prometheus(metrics)
-        assert "# TYPE repro_fuzz_iterations counter" in text
-        assert "repro_fuzz_iterations 60" in text
-        assert "repro_lp_coverage_pct 87.5" in text
-        assert "repro_minimize_probe_count 1" in text
-        assert "repro_minimize_probe_sum 0.25" in text
-
     def test_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "log.jsonl"
         records = [meta_record("campaign", scenario="quickstart"),
@@ -211,7 +185,6 @@ class TestSchema:
         schema = load_schema("docs/telemetry.schema.json")
         metrics = MetricSet()
         metrics.count("iters", 3)
-        metrics.observe("probe", 1.0)
         records = [
             meta_record("shard", shard=1, scenario="quickstart", seed=7,
                         iterations=60, pid=123),
@@ -284,6 +257,35 @@ class TestRunTelemetry:
         assert "telemetry:" in outcome.telemetry.render()
         disk = json.loads((tdir / "summary.json").read_text())
         assert disk["metrics"]["counters"]["fuzz.iterations"] == 8
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_counters_equal_the_merged_report(self, jobs, tmp_path):
+        """The work and finding counters are derived once from the
+        merged report, so they equal it at any jobs count."""
+        from collections import Counter
+
+        from repro.scenarios.store import detector_of
+
+        spec = get_scenario("dcache-monitor-sweep").override(
+            iterations=4, shards=2, detector="both"
+        )
+        outcome = run_scenario(spec, run_dir=tmp_path / "run", jobs=jobs,
+                               minimize=False, telemetry=True)
+        report = outcome.report
+        counters = outcome.telemetry.metrics["counters"]
+        for name, value in report.stats.counts().items():
+            assert counters[f"online.{name}"] == value == \
+                getattr(report.stats, name)
+        assert counters["online.contract_runs"] > 0
+        assert counters["fuzz.iterations"] == report.fuzz.iterations == 8
+        assert counters["fuzz.new_coverage_items"] == \
+            len(report.fuzz.discovery_log)
+        detectors = Counter(detector_of(f.detail)
+                            for f in report.fuzz.findings)
+        assert set(detectors) == {"ift", "contract"}
+        assert {name: value for name, value in counters.items()
+                if name.startswith("findings.")} == \
+            {f"findings.{name}": count for name, count in detectors.items()}
 
     def test_persisted_report_is_byte_identical_on_vs_off(
         self, telemetry_run, tmp_path

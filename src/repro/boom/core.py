@@ -179,21 +179,34 @@ class BoomCore:
             cache.popitem(last=False)
         return decoded
 
-    def run(self, program: TestProgram) -> CoreResult:
-        """Simulate one test program from reset; returns the run result."""
-        self.reset(program)
+    def run(self, program: TestProgram,
+            read: frozenset[int] | None = None) -> CoreResult:
+        """Simulate one test program from reset; returns the run result.
+
+        ``read`` is the set of trace slots the caller reads (``None``:
+        every slot); see :meth:`reset`.
+        """
+        self.reset(program, read)
         return self._engine.execute()
 
     # -- the Put cycle-level protocol ----------------------------------
 
-    def reset(self, program: TestProgram) -> None:
-        """Load ``program`` into the (lazily built) engine from reset."""
+    def reset(self, program: TestProgram,
+              read: frozenset[int] | None = None) -> None:
+        """Load ``program`` into the (lazily built) engine from reset.
+
+        The trace records at least the slots in ``read``: a slot family
+        no slot of which is read (ROB occupancy, ROB ``unsafe`` flags,
+        store-queue valid bits) is not written for this run.  Every
+        other slot, and every slot with ``read=None``, records every
+        change.
+        """
         engine = self._engine
         if engine is None:
             engine = self._engine = _Engine(
                 self.config, self.netlist, self._trace_statics
             )
-        engine.reset(program, self._predecoded(program))
+        engine.reset(program, self._predecoded(program), read)
 
     def step(self) -> bool:
         """Advance one clock edge; ``False`` when the run is over."""
@@ -313,10 +326,22 @@ class _Engine:
         self._ix_stq_valid = [tracer.idx(nl.sig_stq_valid(i)) for i in range(stq_n)]
         self._ix_stq_addr = [tracer.idx(nl.sig_stq_addr(i)) for i in range(stq_n)]
         self._ix_stq_data = [tracer.idx(nl.sig_stq_data(i)) for i in range(stq_n)]
+        #: The slot families a run may leave unrecorded (see
+        #: :meth:`BoomCore.reset`): ROB occupancy, ROB unsafe flags,
+        #: store-queue valid bits.
+        rob_n = config.rob_entries
+        self._occupancy_slots = frozenset([
+            tracer.idx(nl.sig_rob_head()), tracer.idx(nl.sig_rob_count()),
+            *(tracer.idx(nl.sig_rob_valid(i)) for i in range(rob_n)),
+        ])
+        self._unsafe_slots = frozenset(
+            tracer.idx(nl.sig_rob_unsafe(i)) for i in range(rob_n))
+        self._stq_valid_slots = frozenset(self._ix_stq_valid)
         self.fetch_queue: deque[_Fetched] = deque()
 
     def reset(self, program: TestProgram,
-              predecoded: tuple[DecodedInstruction, ...]) -> None:
+              predecoded: tuple[DecodedInstruction, ...],
+              read: frozenset[int] | None = None) -> None:
         config = self.config
         self.program = program
         self.tracer = TraceWriter(self.netlist, self._trace_statics)
@@ -340,7 +365,14 @@ class _Engine:
         self.tlb.reset(self.tracer)
         self.csr.reset(self.tracer)
         self.rename.reset(self.tracer)
-        self.rob.reset(self.tracer)
+        self.rob.reset(
+            self.tracer,
+            occupancy=read is None
+            or not self._occupancy_slots.isdisjoint(read),
+            unsafe=read is None or not self._unsafe_slots.isdisjoint(read),
+        )
+        self._record_stq_valid = (
+            read is None or not self._stq_valid_slots.isdisjoint(read))
         self.cov: dict[str, int] = defaultdict(int)
         self.dcache.reset(
             self.tracer, self.memory,
@@ -502,7 +534,7 @@ class _Engine:
                 # Self-modifying store: the pre-decoded image is stale.
                 self._code_clean = False
             self.dcache.write(store_addr, store_value, store_size)
-            if entry.stq_slot is not None:
+            if entry.stq_slot is not None and self._record_stq_valid:
                 self.tracer.set(self._ix_stq_valid[entry.stq_slot], 0)
             self._bump("commit.store")
         if cls is ExecClass.CSR:
@@ -670,7 +702,7 @@ class _Engine:
                         end=self.cycle, pc=victim.pc, word=victim.inst.word,
                         mispredicted=False,
                     ))
-            if victim.stq_slot is not None:
+            if victim.stq_slot is not None and self._record_stq_valid:
                 self.tracer.set(self._ix_stq_valid[victim.stq_slot], 0)
         self.bpu.repair_ras(entry.ras_snapshot)
 
@@ -776,7 +808,8 @@ class _Engine:
             entry.ready_cycle = self.cycle + 1
             slot = entry.index % nl.stq_size(config)
             entry.stq_slot = slot
-            self.tracer.set(self._ix_stq_valid[slot], 1)
+            if self._record_stq_valid:
+                self.tracer.set(self._ix_stq_valid[slot], 1)
             self.tracer.set(self._ix_stq_addr[slot], address)
             self.tracer.set(self._ix_stq_data[slot], entry.store_data)
             self._bump("exec.store")
@@ -953,7 +986,7 @@ class _Engine:
                         end=self.cycle, pc=victim.pc, word=victim.inst.word,
                         mispredicted=False,
                     ))
-            if victim.stq_slot is not None:
+            if victim.stq_slot is not None and self._record_stq_valid:
                 self.tracer.set(self._ix_stq_valid[victim.stq_slot], 0)
         self.bpu.repair_ras(load.ras_snapshot)
 

@@ -1,9 +1,10 @@
 """The re-order buffer: in-order allocate/commit, out-of-order complete.
 
-ROB entries carry BOOM's ``unsafe`` flag — set while the entry is an
+Each entry has BOOM's ``unsafe`` flag — set while the entry is an
 unresolved speculation source (a conditional branch or indirect jump) —
-and the resolution bus mirrors BOOM's ``brupdate``: the traced
-``rob.res_tag`` / ``rob.res_mispredict`` signals latch each resolution.
+on its traced ``rob.e*_unsafe`` slot, and the resolution bus mirrors
+BOOM's ``brupdate``: the traced ``rob.res_tag`` / ``rob.res_mispredict``
+signals latch each resolution.
 The paper's Leakage Detector reads exactly these signals out of the
 snapshots to delimit speculative windows (§3.2 Step 1).
 """
@@ -56,7 +57,6 @@ class RobEntry:
     actual_target: int = 0
     mispredicted: bool = False
     resolved: bool = False
-    unsafe: bool = False
     ghist_snapshot: int = 0
     ras_snapshot: int = 0
 
@@ -77,13 +77,6 @@ class RobEntry:
     csr_new: int | None = None
     is_halt: bool = False
 
-    @property
-    def done(self) -> bool:
-        return self.state == DONE
-
-    def sources_ready(self) -> bool:
-        return all(tag is None for tag in self.src_tags)
-
 
 class Rob:
     """Circular re-order buffer with traced occupancy and entry flags."""
@@ -101,9 +94,18 @@ class Rob:
                        for i in range(config.rob_entries)]
         self.reset(tracer)
 
-    def reset(self, tracer: TraceWriter) -> None:
-        """Empty the buffer onto a fresh trace writer."""
+    def reset(self, tracer: TraceWriter, occupancy: bool = True,
+              unsafe: bool = True) -> None:
+        """Empty the buffer onto a fresh trace writer.
+
+        ``occupancy`` and ``unsafe`` say whether this run records the
+        occupancy slots (``e*_valid``, ``head``, ``count``) and the
+        ``e*_unsafe`` flags; a run whose consumers read neither family
+        skips those writes at the call site.
+        """
         self.tracer = tracer
+        self._record_occupancy = occupancy
+        self._record_unsafe = unsafe
         self.entries: list[RobEntry | None] = [None] * self.config.rob_entries
         self.head = 0
         self.tail = 0
@@ -131,15 +133,19 @@ class Rob:
         self._order.append(entry)
         self.tail = (index + 1) % self.config.rob_entries
         self.count += 1
-        self.tracer.set(self._ix_valid[index], 1)
-        self.tracer.set(self._ix_pc[index], pc)
-        self.tracer.set(self._ix_tail, self.tail)
-        self.tracer.set(self._ix_count, self.count)
+        tracer = self.tracer
+        if self._record_occupancy:
+            tracer.set(self._ix_valid[index], 1)
+        tracer.set(self._ix_pc[index], pc)
+        tracer.set(self._ix_tail, self.tail)
+        if self._record_occupancy:
+            tracer.set(self._ix_count, self.count)
         return entry
 
     def set_unsafe(self, entry: RobEntry, value: bool) -> None:
-        entry.unsafe = value
-        self.tracer.set(self._ix_unsafe[entry.index], int(value))
+        """Trace the entry's ``unsafe`` flag (the trace is its only record)."""
+        if self._record_unsafe:
+            self.tracer.set(self._ix_unsafe[entry.index], int(value))
 
     def head_entry(self) -> RobEntry | None:
         if self.empty():
@@ -152,12 +158,16 @@ class Rob:
         assert entry is not None
         self._order.popleft()
         self.entries[self.head] = None
-        self.tracer.set(self._ix_valid[self.head], 0)
-        self.tracer.set(self._ix_unsafe[self.head], 0)
+        tracer = self.tracer
+        if self._record_occupancy:
+            tracer.set(self._ix_valid[self.head], 0)
+        if self._record_unsafe:
+            tracer.set(self._ix_unsafe[self.head], 0)
         self.head = (self.head + 1) % self.config.rob_entries
         self.count -= 1
-        self.tracer.set(self._ix_head, self.head)
-        self.tracer.set(self._ix_count, self.count)
+        if self._record_occupancy:
+            tracer.set(self._ix_head, self.head)
+            tracer.set(self._ix_count, self.count)
         return entry
 
     def in_age_order(self) -> list[RobEntry]:
@@ -178,14 +188,19 @@ class Rob:
         while order and order[-1].age > pivot.age:
             squashed.append(order.pop())
         squashed.reverse()
+        tracer = self.tracer
+        occupancy, unsafe = self._record_occupancy, self._record_unsafe
         for entry in squashed:
             self.entries[entry.index] = None
-            self.tracer.set(self._ix_valid[entry.index], 0)
-            self.tracer.set(self._ix_unsafe[entry.index], 0)
+            if occupancy:
+                tracer.set(self._ix_valid[entry.index], 0)
+            if unsafe:
+                tracer.set(self._ix_unsafe[entry.index], 0)
         self.tail = (pivot.index + 1) % self.config.rob_entries
         self.count = len(order)
-        self.tracer.set(self._ix_tail, self.tail)
-        self.tracer.set(self._ix_count, self.count)
+        tracer.set(self._ix_tail, self.tail)
+        if occupancy:
+            tracer.set(self._ix_count, self.count)
         return squashed
 
     def older_stores(self, entry: RobEntry) -> list[RobEntry]:

@@ -3,6 +3,13 @@
 Every netlist signal has a slot; units write values through
 :meth:`TraceWriter.set` and only actual changes are recorded, giving the
 same event stream an RTL waveform dump would produce for those signals.
+
+"Every change" means every change to a *recorded* slot.  A run given a
+read set (:meth:`repro.boom.core.BoomCore.reset`) skips, at the call
+site, the writes to slot families none of its consumers read; those
+slots keep their reset value and have no events.  The writer itself has
+no notion of the read set, so a recorded write costs the same either
+way.
 """
 
 from __future__ import annotations

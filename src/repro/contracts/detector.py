@@ -110,9 +110,10 @@ class ContractDetector:
     """Runs the relational check for one configured clause.
 
     ``run_hardware`` executes a program on the PUT and returns its
-    :class:`~repro.boom.core.CoreResult` — normally the bound
-    ``BoomCore.run`` of the online phase's core, so variant runs reuse
-    the same simulation engine the fuzzing loop does.
+    :class:`~repro.boom.core.CoreResult` — normally the online phase's
+    core's ``run`` bound to the phase's read set, so variant runs reuse
+    the same simulation engine the fuzzing loop does and record at
+    least the slots :class:`HardwareTraceCollector` reads.
     """
 
     def __init__(

@@ -80,6 +80,10 @@ class HardwareTraceCollector:
         self._ix_arch_pc = index[arch_pc]
         self._watched = set(self._dc_role) | {self._ix_arch_pc}
 
+    def reads(self) -> frozenset[int]:
+        """The trace slots :meth:`collect` reads."""
+        return frozenset(self._watched)
+
     def _line_base(self, tag: int, set_index: int) -> int:
         return ((tag * self._sets) + set_index) * self._line_bytes
 

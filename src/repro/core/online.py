@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Any
 
 from repro import faultinject, telemetry
@@ -141,8 +142,18 @@ class OnlinePhase:
                 dcache_sets=core.config.dcache_sets,
                 signal_map=signal_map,
             )))
-        self.contract: ContractDetector | None = None
+        collector = None
         if spec.detector in ("contract", "both"):
+            collector = HardwareTraceCollector(core.config, signal_names,
+                                               signal_map=signal_map)
+        #: The trace slots this phase's consumers read: every run it
+        #: makes records at least these (see :meth:`Put.run`).
+        self.read_set: frozenset[int] = offline.derived(
+            ("reads", tuple(signal_names), include, spec.coverage,
+             spec.detector, spec.monitor_dcache, signal_map),
+            _statics(lambda: self._reads(signal_names, collector)))
+        self.contract: ContractDetector | None = None
+        if collector is not None:
             contract = spec.effective_contract()
             if contract not in core.supported_clauses():
                 raise ValueError(
@@ -157,9 +168,8 @@ class OnlinePhase:
             config = core.config
             speculation = getattr(config, "speculation", ())
             self.contract = ContractDetector(
-                core.run,
-                HardwareTraceCollector(core.config, signal_names,
-                                       signal_map=signal_map),
+                partial(core.run, read=self.read_set),
+                collector,
                 clause=contract,
                 inputs_per_class=spec.inputs_per_class,
                 max_spec_window=spec.max_spec_window,
@@ -179,6 +189,18 @@ class OnlinePhase:
         #: Pipeline phase the current evaluate() call is in — read by
         #: the crash-containment path to attribute escaped exceptions.
         self._phase = "simulate"
+
+    def _reads(self, signal_names: list[str],
+               collector: HardwareTraceCollector | None) -> frozenset[int]:
+        """The union of the trace slots every configured consumer reads."""
+        reads = [self.leakage.reads(signal_names), self.lp.reads()]
+        if self.coverage_kind == "code":
+            reads.append(self.code.reads(signal_names))
+        if self.detector_mode in ("ift", "both"):
+            reads.append(self.vulnerability.reads(signal_names))
+        if collector is not None:
+            reads.append(collector.reads())
+        return frozenset().union(*reads)
 
     @property
     def events_examined(self) -> int:
@@ -213,7 +235,7 @@ class OnlinePhase:
         stats = self.stats
         variant_seconds = 0.0
         with telemetry.timed("online/simulate") as simulate_timer:
-            result = self.core.run(program)
+            result = self.core.run(program, read=self.read_set)
 
         self._phase = "detect"
         with telemetry.timed("online/detect") as detect_timer:
@@ -282,7 +304,7 @@ class OnlinePhase:
     def run_once(self, program: TestProgram) -> tuple[CoreResult, list]:
         """Single-run convenience (examples, tests, minimization, replay):
         result + reports from every configured detector."""
-        result = self.core.run(program)
+        result = self.core.run(program, read=self.read_set)
         reports: list = []
         if self.detector_mode in ("ift", "both"):
             leaks = self.leakage.potential_leaks(result)

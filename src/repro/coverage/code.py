@@ -19,6 +19,11 @@ class CodeCoverage:
     def __init__(self, max_bits_per_signal: int = 16):
         self.max_bits_per_signal = max_bits_per_signal
 
+    @staticmethod
+    def reads(signal_names: list[str]) -> frozenset[int]:
+        """Every trace slot: toggle coverage counts bits of all of them."""
+        return frozenset(range(len(signal_names)))
+
     def items(self, result: CoreResult) -> list:
         """All coverage items one run produced."""
         collected = list(toggle_items(result.trace, self.max_bits_per_signal))

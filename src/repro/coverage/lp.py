@@ -73,6 +73,10 @@ class LpCoverage:
             frozenset(needed) for needed, _ in self._groups
         ]
 
+    def reads(self) -> frozenset[int]:
+        """The trace slots :meth:`covered` reads: every group's prefix."""
+        return frozenset().union(*self._group_sets)
+
     @property
     def total(self) -> int:
         """Total number of PDLCs (the Figure 2 y-axis ceiling)."""

@@ -8,7 +8,7 @@ Vulnerability Detector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from repro.boom.core import CoreResult
 from repro.detection.snapshot_diff import window_diff
@@ -28,6 +28,16 @@ class LeakageDetector:
 
     def __init__(self, signal_map: RobSignalMap | None = None):
         self.signal_map = signal_map or RobSignalMap()
+
+    def reads(self, signal_names: list[str]) -> frozenset[int]:
+        """The trace slots window extraction reads: the five strobes.
+
+        :meth:`potential_leaks` diffs every slot but only hands the
+        diff on; its readers declare what they look at.
+        """
+        wanted = set(astuple(self.signal_map))
+        return frozenset(i for i, name in enumerate(signal_names)
+                         if name in wanted)
 
     def windows(self, result: CoreResult) -> list[DetectedWindow]:
         """All speculative windows of a run (Step 1)."""

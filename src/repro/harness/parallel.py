@@ -708,12 +708,12 @@ class ShardDispatch:
 
     def receive(self, units):
         """Re-yield the ``(task, result)`` pairs of an :func:`imap_shards`
-        stream, each ``(report, corpus)`` result's report carrying the
-        parent's offline artifacts; :class:`UnitFailure` markers pass
-        through unchanged."""
+        stream, each ``(report, corpus, telemetry)`` result's report
+        carrying the parent's offline artifacts; :class:`UnitFailure`
+        markers pass through unchanged."""
         offline = self.specure.offline()
         for task, result in units:
             if not isinstance(result, UnitFailure):
-                report, corpus = result
-                result = replace(report, offline=offline), corpus
+                report, *rest = result
+                result = (replace(report, offline=offline), *rest)
             yield task, result

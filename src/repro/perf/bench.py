@@ -297,11 +297,15 @@ class PairedResult:
     machine drift hits both equally and cancels in the ratio, and the
     median discards outlier pairs.  ``off``/``on`` keep each side's
     best run; the ``on`` side is gated like a plain protocol.
+    ``median_pairs`` holds the ``(off, on)`` iters/sec of the pair the
+    median is taken at (the middle two for an even count), so the
+    printed overhead can be checked against the runs it came from.
     """
 
     off: BenchResult
     on: BenchResult
     overhead: float
+    median_pairs: tuple[tuple[float, float], ...] = ()
 
     @property
     def key(self) -> str:
@@ -316,14 +320,21 @@ class PairedResult:
             failures.append(
                 f"{self.key}: {self.on.variant} overhead "
                 f"{self.overhead:.2%} exceeds the {MAX_OVERHEAD:.0%} "
-                f"ceiling ({self.off.iters_per_sec:.2f} -> "
+                f"ceiling ({self._median_text()}; best runs "
+                f"{self.off.iters_per_sec:.2f} -> "
                 f"{self.on.iters_per_sec:.2f} iters/sec)")
         return failures + self.on.failures(entries)
 
+    def _median_text(self) -> str:
+        pairs = ", ".join(f"{off:.2f} -> {on:.2f}"
+                          for off, on in self.median_pairs)
+        noun = "pair" if len(self.median_pairs) == 1 else "pairs"
+        return f"median {noun} {pairs} iters/sec"
+
     def summary(self) -> str:
         return (f"{self.key}: {self.on.iters_per_sec:.2f} iters/sec vs "
-                f"{self.off.iters_per_sec:.2f} without, overhead "
-                f"{self.overhead:+.2%}, "
+                f"{self.off.iters_per_sec:.2f} without (best runs), "
+                f"overhead {self.overhead:+.2%} ({self._median_text()}), "
                 f"{self.on.events_examined_per_iter:.0f} events/iter")
 
 
@@ -342,6 +353,7 @@ def run_paired(
     """
     best: dict[str, BenchResult] = {}
     ratios = []
+    pairs = []
     for repeat in range(repeats):
         order = ("", variant) if repeat % 2 == 0 else (variant, "")
         pair = {}
@@ -353,8 +365,12 @@ def run_paired(
                 best[side] = result
         ratios.append(pair[""].iters_per_sec / pair[variant].iters_per_sec
                       - 1.0)
+        pairs.append((pair[""].iters_per_sec, pair[variant].iters_per_sec))
+    by_ratio = [pair for _, pair in sorted(zip(ratios, pairs))]
+    middle = by_ratio[(repeats - 1) // 2:repeats // 2 + 1]
     return PairedResult(off=best[""], on=best[variant],
-                        overhead=statistics.median(ratios))
+                        overhead=statistics.median(ratios),
+                        median_pairs=tuple(middle))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,12 @@ two objects:
 The cycle-level half of the protocol (``reset``/``step``/``finish``)
 exists so campaign code can drive any backend one clock edge at a time;
 ``run`` is the batch form every consumer in the hot loop uses.
+
+Both take an optional *read set*: the trace slots the caller will read.
+A backend must record every change of every slot in it and may record
+more (any slot, or everything); it must never record fewer.  ``None``
+means every slot.  The online phase passes the union of its consumers'
+reads, so a backend may skip writes no consumer looks at.
 """
 
 from __future__ import annotations
@@ -132,8 +138,10 @@ class Put(ABC):
     # -- the cycle-level protocol ------------------------------------------
 
     @abstractmethod
-    def reset(self, program) -> None:
-        """Load ``program`` (words, registers, memory image) from reset."""
+    def reset(self, program, read: frozenset[int] | None = None) -> None:
+        """Load ``program`` (words, registers, memory image) from reset;
+        the run records at least the trace slots in ``read`` (``None``:
+        every slot)."""
 
     @abstractmethod
     def step(self) -> bool:
@@ -143,9 +151,9 @@ class Put(ABC):
     def finish(self):
         """Assemble the finished run's :class:`~repro.boom.core.CoreResult`."""
 
-    def run(self, program):
+    def run(self, program, read: frozenset[int] | None = None):
         """Simulate one test program from reset (the batch form)."""
-        self.reset(program)
+        self.reset(program, read)
         while self.step():
             pass
         return self.finish()

@@ -131,7 +131,10 @@ class RtlPut(Put):
 
     # -- the cycle-level protocol ------------------------------------------
 
-    def reset(self, program: TestProgram) -> None:
+    def reset(self, program: TestProgram,
+              read: frozenset[int] | None = None) -> None:
+        """Load ``program``; ``read`` is accepted and ignored: the
+        whole-state ``set_all`` diff records every slot at C level."""
         config = self.config
         memory = SparseMemory(fill_seed=program.data_seed)
         memory.load_words(config.base_address, program.words)

@@ -80,7 +80,9 @@ from repro.scenarios.store import (
 )
 from repro.telemetry import export as telemetry_export
 from repro.telemetry.export import TelemetrySummary
+from repro.telemetry.spans import SpanRecord
 from repro.telemetry.heartbeat import HeartbeatWriter
+from repro.telemetry.metrics import MetricSet
 from repro.telemetry.runstats import (
     load_run_telemetry,
     summarize,
@@ -139,6 +141,9 @@ class ShardTask:
     ``attempt`` counts executions of this unit (1 = first try); the
     resilient dispatcher re-stamps it via :meth:`with_attempt` so the
     shard's telemetry records which attempt produced its artifacts.
+
+    ``telemetry`` asks for the shard's spans and metrics; without a
+    ``telemetry_dir`` to write them to they come back with the result.
     """
 
     spec: ScenarioSpec
@@ -147,6 +152,7 @@ class ShardTask:
     telemetry_dir: str | None = None
     checkpoint_dir: str | None = None
     attempt: int = 1
+    telemetry: bool = False
 
     @property
     def seed(self) -> int:
@@ -242,9 +248,15 @@ def _run_shard_campaign(
     return replace(report, offline=None), _shard_corpus(campaign)
 
 
-def _execute_shard(
-    task: ShardTask,
-) -> tuple[CampaignReport, list[tuple[TestProgram, int]]]:
+#: What a worker returns for one shard: the report, the retained corpus
+#: entries, and the spans and metrics (as a dict) a worker process
+#: recorded for a telemetry campaign without a run directory (``None``
+#: otherwise).
+ShardResult = tuple[CampaignReport, list[tuple[TestProgram, int]],
+                    tuple[list[SpanRecord], dict] | None]
+
+
+def _execute_shard(task: ShardTask) -> ShardResult:
     """One shard's full campaign: the one shard worker, which
     :func:`run_scenario` and :func:`resume_scenario` dispatch.
 
@@ -257,23 +269,28 @@ def _execute_shard(
 
     With a ``telemetry_dir`` the shard streams a
     ``telemetry/shard-<k>.jsonl`` heartbeat log and dumps its
-    spans/metrics into it on completion.
+    spans/metrics into it on completion.  Without one, a shard run
+    inline records into the parent's recorder, and a shard run in a
+    worker process records into a private one whose spans and metrics
+    ride back with the result for the parent to absorb.
     """
     faultinject.set_context(task.shard)
     if task.telemetry_dir is not None:
         return _execute_shard_telemetry(task)
     recorder = telemetry.recorder()
-    if recorder.enabled:
-        # Telemetry without a run directory: record the shard span in
-        # the parent recorder, no per-shard file to stream to.
+    if not task.telemetry or recorder.pid == os.getpid():
         with recorder.span(f"shard/{task.shard}"):
-            return _run_shard_campaign(task, heartbeat=None)
-    return _run_shard_campaign(task, heartbeat=None)
+            return (*_run_shard_campaign(task, heartbeat=None), None)
+    recorder = telemetry.enable()
+    try:
+        with recorder.span(f"shard/{task.shard}"):
+            report, corpus = _run_shard_campaign(task, heartbeat=None)
+    finally:
+        telemetry.disable()
+    return report, corpus, (recorder.spans(), recorder.metrics.to_dict())
 
 
-def _execute_shard_telemetry(
-    task: ShardTask,
-) -> tuple[CampaignReport, list[tuple[TestProgram, int]]]:
+def _execute_shard_telemetry(task: ShardTask) -> ShardResult:
     """The telemetry-instrumented shard execution path.
 
     A fleet worker process has no enabled recorder, so it enables a
@@ -306,7 +323,7 @@ def _execute_shard_telemetry(
             spans=window.spans, metrics=window.metrics,
             findings=len(report.fuzz.findings),
         )
-        return report, corpus
+        return report, corpus, None
     except BaseException:
         # Leave the partial heartbeat log on disk: that is exactly the
         # crashed-shard triage artifact `repro stats` reports as a
@@ -598,16 +615,17 @@ def _drive_campaign(
     checkpoint_dir = None
     if store is not None and spec.checkpoint_every > 0:
         checkpoint_dir = str(store.checkpoint_dir(create=True))
+    recorder = telemetry.recorder()
     tasks = [
         ShardTask(spec, shard, seconds=seconds,
                   telemetry_dir=telemetry_dir,
-                  checkpoint_dir=checkpoint_dir)
+                  checkpoint_dir=checkpoint_dir,
+                  telemetry=recorder.enabled)
         for shard in range(spec.shards)
         if shard not in resumed
     ]
     policy = _resilience_policy(spec, telemetry_dir)
     minimizer = _Minimizer(dispatch.online)
-    recorder = telemetry.recorder()
     fresh: dict[int, CampaignReport] = {}
     failures: dict[int, UnitFailure] = {}
     executed: list[int] = []
@@ -622,7 +640,10 @@ def _drive_campaign(
                         shard, task.seed, result.attempts,
                         result.kind, result.summary())
                 continue
-            report, corpus = result
+            report, corpus, records = result
+            if records is not None:
+                spans, metrics = records
+                recorder.absorb(spans, MetricSet.from_dict(metrics))
             if store is not None:
                 minimized = (
                     minimizer.minimize(report.fuzz.findings)

@@ -27,9 +27,10 @@ span plus the per-shard file the records land in.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.telemetry.metrics import MetricSet
 
@@ -187,6 +188,9 @@ class Recorder:
 
     def __init__(self) -> None:
         self.epoch = time.perf_counter()
+        #: The process that installed this recorder: a forked worker
+        #: inherits a copy whose records would never reach the parent.
+        self.pid = os.getpid()
         self._lock = threading.Lock()
         self._spans: list[SpanRecord] = []
         self._local = threading.local()
@@ -230,6 +234,19 @@ class Recorder:
     def window(self) -> _Window:
         return _Window(self)
 
+    def absorb(self, spans: list[SpanRecord], metrics: MetricSet) -> None:
+        """Fold another process's finished spans and metrics in.
+
+        The spans nest under this thread's open span, as they would
+        had they run inline; they add no child time to it, because
+        they ran beside it.  Metrics merge additively.
+        """
+        depth = len(getattr(self._local, "stack", None) or ())
+        with self._lock:
+            self._spans.extend(replace(span, depth=span.depth + depth)
+                               for span in spans)
+        self.metrics = self.metrics.merge(metrics)
+
     # -- metrics ------------------------------------------------------------
 
     def count(self, name: str, value: float = 1) -> None:
@@ -244,6 +261,7 @@ class NullRecorder:
 
     enabled = False
     metrics = None
+    pid = None
 
     def span(self, name: str) -> _NullSpan:
         return _NULL_SPAN

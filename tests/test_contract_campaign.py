@@ -90,9 +90,9 @@ class TestOnlinePhaseDispatch:
         specure = _specure(detector="contract")
         real_run = specure.core.run
 
-        def slow_run(program):
+        def slow_run(program, read=None):
             time.sleep(pause)
-            return real_run(program)
+            return real_run(program, read)
 
         specure.core.run = slow_run
         online = specure.build_online()

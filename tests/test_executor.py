@@ -318,10 +318,11 @@ class TestParentStatics:
 
         spec = _stored_sweep()
         task = ShardTask(spec, 0)
-        report, corpus = _execute_shard(task)
-        assert report.offline is None
+        result = _execute_shard(task)
+        report, _corpus, records = result
+        assert report.offline is None and records is None
         # What a fleet worker sends down its pipe for this unit.
-        blob = bytes(ForkingPickler.dumps((0, True, (report, corpus))))
+        blob = bytes(ForkingPickler.dumps((0, True, result)))
         assert b"OfflineArtifacts" not in blob
         assert len(blob) < 64 * 1024
 

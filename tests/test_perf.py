@@ -458,6 +458,27 @@ class TestTelemetryOverhead:
             ((10 / 9 - 1) + (10 / 10 - 1)) / 2)
         assert result.off.iters_per_sec == 10.0
         assert result.on.iters_per_sec == 10.0
+        assert result.median_pairs == ((10.0, 10.0), (10.0, 9.0))
+
+    def test_summary_and_failure_print_the_median_pair(self, quick_result):
+        from repro.perf.bench import PairedResult
+
+        result = PairedResult(
+            off=replace(quick_result, iters_per_sec=39.63),
+            on=replace(quick_result, variant="checkpoint",
+                       iters_per_sec=38.74),
+            overhead=0.0664, median_pairs=((38.10, 35.73),))
+        summary = result.summary()
+        assert "38.74 iters/sec vs 39.63 without (best runs)" in summary
+        assert "overhead +6.64% (median pair 38.10 -> 35.73 iters/sec)" \
+            in summary
+        [failure] = result.failures([])
+        assert "overhead 6.64% exceeds the 3% ceiling (median pair " \
+            "38.10 -> 35.73 iters/sec; best runs 39.63 -> 38.74 " \
+            "iters/sec)" in failure
+        two = replace(result, median_pairs=((10.0, 10.0), (10.0, 9.0)))
+        assert "median pairs 10.00 -> 10.00, 10.00 -> 9.00 iters/sec" \
+            in two.summary()
 
     def test_record_keeps_the_paired_overhead(self, tmp_path):
         result = run_paired("quickstart", iterations=3, variant="telemetry",

@@ -269,18 +269,18 @@ class TestCrashContainment:
         seen = []
         real_run = BoomCore.run
 
-        def recording_run(self, program):
+        def recording_run(self, program, read=None):
             seen.append(program.fingerprint())
-            return real_run(self, program)
+            return real_run(self, program, read)
 
         monkeypatch.setattr(BoomCore, "run", recording_run)
         spec.build_specure().build_campaign().run(3)
         poison = seen[2]
 
-        def poisoned_run(self, program):
+        def poisoned_run(self, program, read=None):
             if program.fingerprint() == poison:
                 raise ValueError("simulator choked on poison program")
-            return real_run(self, program)
+            return real_run(self, program, read)
 
         monkeypatch.setattr(BoomCore, "run", poisoned_run)
         run_dir = tmp_path / "poisoned"

@@ -63,7 +63,7 @@ class TestProgramRoundTrip:
 
 class TestShardReportRoundTrip:
     def test_report_survives_json(self, sweep_spec):
-        report, _corpus = _execute_shard(ShardTask(sweep_spec, 0))
+        report, _corpus, _records = _execute_shard(ShardTask(sweep_spec, 0))
         # Shard reports travel without offline artifacts; the
         # dispatching parent attaches its own copy, as here.
         _core, offline = shared_statics(sweep_spec.build_config())

@@ -75,10 +75,10 @@ class TestMinimizerMatchesReference:
         poison = program.words[len(program.words) // 2]
         real_run = BoomCore.run
 
-        def poisoned_run(self, candidate):
+        def poisoned_run(self, candidate, read=None):
             if poison in candidate.words:
                 raise ValueError("simulator choked on the poison word")
-            return real_run(self, candidate)
+            return real_run(self, candidate, read)
 
         monkeypatch.setattr(BoomCore, "run", poisoned_run)
         finding = FuzzFinding(

@@ -287,6 +287,37 @@ class TestRunTelemetry:
                 if name.startswith("findings.")} == \
             {f"findings.{name}": count for name, count in detectors.items()}
 
+    def test_in_memory_telemetry_does_not_depend_on_jobs(self, monkeypatch):
+        """Without a run directory, worker processes send their spans
+        and metrics back with the shard result: the phase names, the
+        counter names and every ``mutation.*`` value equal jobs=1's."""
+        from collections import OrderedDict
+
+        from repro.harness import parallel
+
+        spec = get_scenario("dcache-monitor-sweep").override(
+            iterations=4, shards=2)
+        seen = {}
+        for jobs in (1, 2):
+            # Cold per-process statics, so both runs build the offline
+            # artifacts (and record their spans) in the parent.
+            monkeypatch.setattr(parallel, "_WORKER_STATICS", OrderedDict())
+            parallel.shutdown_pool()
+            summary = run_scenario(spec, jobs=jobs, minimize=False,
+                                   telemetry=True).telemetry
+            counters = summary.metrics["counters"]
+            seen[jobs] = (
+                {row["name"] for row in summary.phases},
+                set(counters),
+                {name: value for name, value in counters.items()
+                 if name.startswith("mutation.")},
+            )
+        parallel.shutdown_pool()
+        phases, counter_names, mutation = seen[1]
+        assert {"shard/0", "shard/1", "online/simulate"} <= phases
+        assert mutation
+        assert seen[2] == seen[1]
+
     def test_persisted_report_is_byte_identical_on_vs_off(
         self, telemetry_run, tmp_path
     ):
